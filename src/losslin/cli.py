@@ -29,6 +29,8 @@ from .tables import precomputed_partition
 __all__ = ["CliConfig", "main", "entry_point"]
 
 _MAX_SEGMENTS_CAP = 30
+# largest --segments for bounds (10000 regions); keeps one call's work bounded
+_MAX_BOUNDS_SEGMENTS = 10001
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,9 @@ class CliConfig:
     var_l: str = "L"
 
     def __post_init__(self):
-        if self.segments < 2:
-            raise InvalidParameterError("segments must be >= 2")
+        if not 2 <= self.segments <= _MAX_BOUNDS_SEGMENTS:
+            raise InvalidParameterError(
+                f"segments must lie in 2..{_MAX_BOUNDS_SEGMENTS}")
         if self.sigma <= 0.0:
             raise InvalidParameterError("sigma must be positive")
         if self.tol <= 0.0:

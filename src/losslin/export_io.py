@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,17 @@ def _lp_term(coef: float, var: str) -> str:
     return f" {sign} {_lp_num(mag)} {var}"
 
 
+# LP-format identifier: at most 255 characters from letters, digits and
+# !"#$%&()/,.;?@_`'{}|~, not starting with a digit or a period.  Whitespace,
+# the operators <>=:+-*^ and the brackets [] would break the row grammar.
+_LP_NAME = re.compile(r"[A-Za-z!\"#$%&()/,;?@_`'{}|~][A-Za-z0-9!\"#$%&()/,.;?@_`'{}|~]{0,254}")
+
+
+def _check_lp_name(name: str, role: str) -> None:
+    if not isinstance(name, str) or _LP_NAME.fullmatch(name) is None:
+        raise InvalidParameterError(f"{role} is not a valid LP variable name: {name!r}")
+
+
 def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -> str:
     """LP-file constraint text embedding the lower bound's epigraph.
 
@@ -182,7 +194,12 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     ``var_L - slope*var_x >= intercept``.  The upper bound is not a max
     of affine pieces, so it is emitted as a commented breakpoint/value
     node table; the consumer picks a formulation (lambda/SOS2) for it.
+    Both variable names must be distinct valid LP identifiers.
     """
+    _check_lp_name(var_x, "var_x")
+    _check_lp_name(var_L, "var_L")
+    if var_x == var_L:
+        raise InvalidParameterError(f"var_x and var_L must differ, both are {var_x!r}")
     lower, upper = report.lower, report.upper
     if lower.kind != "lower":
         raise InvalidParameterError("report.lower must be a lower-kind bound")

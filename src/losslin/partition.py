@@ -15,8 +15,11 @@ Region bookkeeping for boundaries a_i < b_i (a_1 = -inf, b_N = +inf):
     error       e_i = closs_std(m_i) - (Phi(b_i) * m_i + phi(b_i))
 
 The solver exploits the symmetry of the optimum: only the strictly
-negative interior boundaries are unknowns, the rest are mirrored (with an
-exact zero in the middle when the interior count is odd).
+negative interior boundaries and the common error are unknowns, the rest
+are mirrored (with an exact zero in the middle when the interior count is
+odd).  Each e_i depends only on its own region's two boundaries and has
+closed-form partials, so the Jacobian of the residuals e_i - eps is lower
+bidiagonal plus one column of -1s, and an exact Newton step costs O(N).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 _MAX_ITER = 200
-_FD_STEP = 1e-7
 _MAX_HALVINGS = 60
 
 
@@ -190,24 +192,77 @@ def _expand_symmetric(neg: np.ndarray, n_regions: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _distinct_residuals(neg: np.ndarray, n_regions: int) -> np.ndarray:
-    """e_1 - e_k over the first ceil(N/2) (symmetry-distinct) breakpoints."""
+def _symmetric_stats(neg: np.ndarray, n_regions: int):
+    """Upper limits b_1..b_N of the symmetric point and their region statistics."""
+    upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
+    p, m, e = _region_stats(upper)
+    return upper, p, m, e
+
+
+def _reduced_jacobian(upper: np.ndarray, p: np.ndarray, m: np.ndarray, n_regions: int):
+    """Exact Jacobian of e_1..e_h, h = ceil(N/2), in the negative boundaries.
+
+    Each e_i depends only on its own region's boundaries.  With
+    dPhi = Phi(m_i) - Phi(b_i), the chain rule through
+    dm_i/db_i = phi(b_i)(b_i - m_i)/p_i, dm_i/db_{i-1} = phi(b_{i-1})(m_i - b_{i-1})/p_i
+    and closs_std' = Phi gives
+
+        de_i/db_i     = (dPhi / p_i + 1) phi(b_i) (b_i - m_i)
+        de_i/db_{i-1} = dPhi phi(b_{i-1}) (m_i - b_{i-1}) / p_i
+
+    Returns (diag, sub, mid) as read by _newton_step: diag[i] = de_i/db_i
+    and sub[i] = de_i/db_{i-1} for the rows i < h - 1 (sub[0] = 0, as the
+    first region has no finite lower boundary).  The middle region's upper
+    limit mirrors the last unknown when N is odd (b_h = -b_{h-1}, so
+    mid = de/da - de/db) and is the fixed zero when N is even (mid = de/da).
+    """
+    rows = (n_regions + 1) // 2
+    b, p, m = upper[:rows], p[:rows], m[:rows]
+    d_phi = gaussian._cdf_unchecked(m) - gaussian._cdf_unchecked(b)
+    d_upper = (d_phi / p + 1.0) * gaussian.phi(b) * (b - m)
+    a = b[:-1]
+    d_lower = np.concatenate(([0.0], d_phi[1:] * gaussian.phi(a) * (m[1:] - a) / p[1:]))
+    mid = d_lower[-1] - d_upper[-1] if n_regions % 2 else d_lower[-1]
+    return d_upper[:-1], d_lower[:-1], float(mid)
+
+
+def _newton_step(diag, sub, mid: float, r: np.ndarray):
+    """Solve J (db, d_eps) = -r for the symmetry-reduced equal-error system.
+
+    Row i < n reads  sub[i] db_{i-1} + diag[i] db_i - d_eps = -r_i  (sub[0]
+    multiplies nothing); the middle row n reads  mid db_{n-1} - d_eps = -r_n.
+    Forward substitution writes db = u + v d_eps, and the middle row then
+    fixes d_eps.  O(n) time and memory.
+    """
+    n = len(diag)
+    u, v = [0.0] * n, [0.0] * n
+    u_prev = v_prev = 0.0
+    for i, (d, s, ri) in enumerate(zip(diag.tolist(), sub.tolist(), r.tolist())):
+        u_prev = (-ri - s * u_prev) / d
+        v_prev = (1.0 - s * v_prev) / d
+        u[i], v[i] = u_prev, v_prev
+    d_eps = (-float(r[n]) - mid * u_prev) / (mid * v_prev - 1.0)
+    return np.array(u) + d_eps * np.array(v), d_eps
+
+
+def _ordered(neg: np.ndarray, n_regions: int) -> bool:
     interior = _expand_symmetric(neg, n_regions)
-    upper = np.concatenate((interior, [np.inf]))
-    _, _, e = _region_stats(upper)
-    half = (n_regions + 1) // 2
-    return e[0] - e[1:half]
+    return bool(np.all(np.isfinite(interior)) and np.all(np.diff(interior) > 0))
 
 
 def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     """Solve the equal-error system for an N-region minimax partition.
 
-    Unknowns are the strictly negative interior boundaries; the zero
-    middle boundary (when the interior count is odd) and the positive
-    half are generated by symmetry, which enforces the symmetric-optimum
-    property exactly.  A finite-difference Gauss-Newton iteration with
-    step halving drives the residuals e_1 - e_k below tol (measured over
-    all breakpoints).  N = 1 and N = 2 are returned analytically.
+    Unknowns are the strictly negative interior boundaries plus the common
+    error eps; the zero middle boundary (when the interior count is odd)
+    and the positive half are generated by symmetry, which enforces the
+    symmetric-optimum property exactly.  The residuals e_i - eps over the
+    ceil(N/2) symmetry-distinct breakpoints form a square system whose
+    exact Jacobian is lower bidiagonal plus a column of -1s, so each Newton
+    step costs O(N).  A monotone line search rejects non-finite or
+    unordered trial points; iteration stops once the residuals e_1 - e_k
+    over all breakpoints have norm <= tol.  N = 1 and N = 2 are returned
+    analytically.
     """
     if not isinstance(n_regions, int) or n_regions < 1:
         raise InvalidParameterError(f"n_regions must be a positive integer, got {n_regions!r}")
@@ -219,67 +274,65 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     if n_regions == 2:
         return Partition.from_boundaries((0.0,))
 
-    n_free = (n_regions - 1) // 2
+    rows = (n_regions + 1) // 2
     # equal-probability quantiles start inside the basin of attraction
-    neg = gaussian.inv_cdf(np.arange(1, n_free + 1) / n_regions)
+    neg = gaussian.inv_cdf(np.arange(1, rows) / n_regions)
     neg = np.atleast_1d(np.asarray(neg, dtype=float))
 
-    r = _distinct_residuals(neg, n_regions)
+    upper, p, m, e = _symmetric_stats(neg, n_regions)
+    eps = float(np.mean(e[:rows]))
+    r = e[:rows] - eps
     norm2 = float(r @ r)
-    best_neg, best_norm2 = neg.copy(), norm2
 
     for _ in range(_MAX_ITER):
-        if _full_residual_norm(neg, n_regions) <= tol:
-            return _finalize(neg, n_regions)
+        if _full_residual_norm(e) <= tol:
+            return _finalize(neg, n_regions, e)
 
-        jac = np.empty((r.size, neg.size))
-        for j in range(neg.size):
-            bumped = neg.copy()
-            bumped[j] += _FD_STEP
-            jac[:, j] = (_distinct_residuals(bumped, n_regions) - r) / _FD_STEP
-
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        diag, sub, mid = _reduced_jacobian(upper, p, m, n_regions)
+        delta, d_eps = _newton_step(diag, sub, mid, r)
 
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = neg + step * delta
-            r_trial = _distinct_residuals(trial, n_regions)
-            trial_norm2 = float(r_trial @ r_trial)
-            if math.isfinite(trial_norm2) and trial_norm2 < norm2:
-                neg, r, norm2 = trial, r_trial, trial_norm2
-                break
+            if _ordered(trial, n_regions):
+                t_upper, t_p, t_m, t_e = _symmetric_stats(trial, n_regions)
+                t_eps = eps + step * d_eps
+                r_trial = t_e[:rows] - t_eps
+                trial_norm2 = float(r_trial @ r_trial)
+                if math.isfinite(trial_norm2) and trial_norm2 < norm2:
+                    neg, eps, r, norm2 = trial, t_eps, r_trial, trial_norm2
+                    upper, p, m, e = t_upper, t_p, t_m, t_e
+                    break
             step *= 0.5
         else:
+            # the search is monotone, so the current point is the best seen
             raise SolverError(
                 f"line search stalled for {n_regions} regions",
-                best=_expand_symmetric(best_neg, n_regions),
-                residual=math.sqrt(best_norm2),
+                best=_expand_symmetric(neg, n_regions),
+                residual=_full_residual_norm(e),
             )
-        if norm2 < best_norm2:
-            best_neg, best_norm2 = neg.copy(), norm2
 
-    if _full_residual_norm(neg, n_regions) <= tol:
-        return _finalize(neg, n_regions)
+    if _full_residual_norm(e) <= tol:
+        return _finalize(neg, n_regions, e)
     raise SolverError(
         f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
-        best=_expand_symmetric(best_neg, n_regions),
-        residual=_full_residual_norm(best_neg, n_regions),
+        best=_expand_symmetric(neg, n_regions),
+        residual=_full_residual_norm(e),
     )
 
 
-def _full_residual_norm(neg: np.ndarray, n_regions: int) -> float:
-    interior = _expand_symmetric(neg, n_regions)
-    _, _, e = _region_stats(np.concatenate((interior, [np.inf])))
+def _full_residual_norm(e: np.ndarray) -> float:
+    """Norm of e_1 - e_k over all breakpoints k = 2..N."""
     return float(np.linalg.norm(e[0] - e[1:]))
 
 
-def _finalize(neg: np.ndarray, n_regions: int) -> Partition:
+def _finalize(neg: np.ndarray, n_regions: int, e: np.ndarray) -> Partition:
     interior = _expand_symmetric(neg, n_regions)
     if np.any(np.diff(interior) <= 0):
         raise SolverError(
             f"solution for {n_regions} regions lost boundary ordering",
             best=interior,
-            residual=_full_residual_norm(neg, n_regions),
+            residual=_full_residual_norm(e),
         )
     return Partition.from_boundaries(interior)
 

@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 
 from losslin import max_gap, build_lower, solve_minimax
-from losslin.cli import CliConfig, main
+from losslin.cli import _MAX_BOUNDS_SEGMENTS, CliConfig, main
 from losslin.errors import InvalidParameterError
 
 from reference_table import REFERENCE
@@ -149,6 +149,22 @@ class TestBounds:
                          "--var-x", "q", "--var-L", "cost")
         assert rc == 0
         assert "cost - q >= 0" in out
+
+    @pytest.mark.parametrize("var_x, var_l", [
+        ("2q", "L>="), ("x", "L>="), ("a b", "L"), ("x", "x"), ("x", "y" * 256)])
+    def test_invalid_lp_variables_fail_loudly(self, capsys, var_x, var_l):
+        rc, out, err = run(capsys, "bounds", "--segments", "3", "--format", "lp",
+                           "--var-x", var_x, "--var-L", var_l)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_segment_cap(self, capsys):
+        rc, out, err = run(capsys, "bounds", "--segments",
+                           str(_MAX_BOUNDS_SEGMENTS + 1), "--format", "csv")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and str(_MAX_BOUNDS_SEGMENTS) in err
 
 
 class TestEnvironmentTolerance:

@@ -193,6 +193,28 @@ class TestLpConstraints:
         assert all("cost" in row for row in constraints)
         assert any(" q " in row or row.rstrip().endswith(" q >= 0") for row in constraints)
 
+    @pytest.mark.parametrize("name", [
+        "2q", ".x", "L>=", "a b", "x\t", "a-b", "a+b", "a:b", "a*b", "a^2",
+        "a<b", "a=b", "a[1]", "", "x" * 256,
+    ])
+    def test_rejects_invalid_variable_names(self, name):
+        report = build_report(solve_minimax(2))
+        with pytest.raises(InvalidParameterError):
+            to_lp_constraints(report, name, "L")
+        with pytest.raises(InvalidParameterError):
+            to_lp_constraints(report, "x", name)
+
+    def test_rejects_equal_variable_names(self):
+        with pytest.raises(InvalidParameterError):
+            to_lp_constraints(build_report(solve_minimax(2)), "v", "v")
+
+    @pytest.mark.parametrize("name", ["x_1", "a.b", "Cost", "y" * 255, "(q)", "z#"])
+    def test_accepts_valid_variable_names(self, name):
+        text = to_lp_constraints(build_report(solve_minimax(4)), name, "L")
+        _, constraints, rest = lp_sections(text)
+        assert sum(f" {name} >= " in row for row in constraints) == 4
+        assert f" {name} free" in rest
+
 
 class TestPlotData:
     def test_columns_and_header(self):

@@ -15,10 +15,12 @@ from losslin import (
     breakpoint_error,
     breakpoint_errors,
     cdf,
+    inv_cdf,
     parameter_table,
     phi,
     solve_minimax,
 )
+from losslin import partition as partition_mod
 from losslin.tables import precomputed_partition
 
 from reference_table import REFERENCE
@@ -161,6 +163,82 @@ class TestSolvedPartitions:
     def test_larger_systems_converge(self, n):
         p = solve_minimax(n)
         assert breakpoint_errors(p).spread <= 1e-8
+
+
+class TestNewtonSystem:
+    """The exact symmetry-reduced Newton system behind solve_minimax."""
+
+    @staticmethod
+    def perturbed_point(n):
+        rows = (n + 1) // 2
+        neg = np.asarray(inv_cdf(np.arange(1, rows) / n))
+        gaps = np.diff(np.concatenate((neg, [0.0])))
+        rng = np.random.default_rng(n)
+        return neg + 0.2 * gaps * rng.uniform(-1.0, 1.0, neg.size)
+
+    @staticmethod
+    def dense(diag, sub, mid):
+        n = diag.size
+        jac = np.zeros((n + 1, n))
+        jac[np.arange(n), np.arange(n)] = diag
+        jac[np.arange(1, n), np.arange(n - 1)] = sub[1:]
+        jac[n, n - 1] = mid
+        return jac
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 101])
+    def test_jacobian_matches_central_differences(self, n):
+        neg = self.perturbed_point(n)
+        rows = (n + 1) // 2
+        upper, p, m, _ = partition_mod._symmetric_stats(neg, n)
+        analytic = self.dense(*partition_mod._reduced_jacobian(upper, p, m, n))
+        h = 1e-6
+        numeric = np.empty_like(analytic)
+        for j in range(neg.size):
+            bump = np.zeros_like(neg)
+            bump[j] = h
+            e_hi = partition_mod._symmetric_stats(neg + bump, n)[3][:rows]
+            e_lo = partition_mod._symmetric_stats(neg - bump, n)[3][:rows]
+            numeric[:, j] = (e_hi - e_lo) / (2.0 * h)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 101])
+    def test_newton_step_solves_the_bordered_system(self, n):
+        neg = self.perturbed_point(n)
+        upper, p, m, _ = partition_mod._symmetric_stats(neg, n)
+        diag, sub, mid = partition_mod._reduced_jacobian(upper, p, m, n)
+        r = np.random.default_rng(0).normal(size=diag.size + 1)
+        delta, d_eps = partition_mod._newton_step(diag, sub, mid, r)
+        bordered = np.hstack((self.dense(diag, sub, mid), -np.ones((diag.size + 1, 1))))
+        want = np.linalg.solve(bordered, -r)
+        np.testing.assert_allclose(np.append(delta, d_eps), want, rtol=1e-9)
+
+    def test_residual_evaluations_stay_constant_in_n(self, monkeypatch):
+        calls = []
+        region_stats = partition_mod._region_stats
+
+        def counting(upper):
+            calls.append(upper.size)
+            return region_stats(upper)
+
+        monkeypatch.setattr(partition_mod, "_region_stats", counting)
+        p = solve_minimax(1000)
+        assert len(calls) <= 20
+        monkeypatch.undo()
+        assert breakpoint_errors(p).spread <= 1e-10
+
+    def test_cli_cap_size_converges(self):
+        # --segments is capped at 10001, i.e. 10000 regions
+        p = solve_minimax(10000)
+        assert breakpoint_errors(p).spread <= 1e-10
+
+    def test_stall_reports_best_point(self):
+        # a tolerance below rounding cannot be met: the line search stalls
+        with pytest.raises(SolverError) as info:
+            solve_minimax(7, tol=1e-30)
+        best = np.asarray(info.value.best)
+        assert best.size == 6 and np.all(np.diff(best) > 0)
+        assert best == approx(solve_minimax(7).upper_limits[:-1], abs=1e-9)
+        assert 0.0 <= info.value.residual <= 1e-10
 
 
 class TestParameterTable:
