@@ -8,6 +8,10 @@ exports distribution-independent linearisation coefficients for MILP
 embedding.
 """
 
+# the one version literal; set before the submodule imports so export_io
+# can stamp it into its output
+__version__ = "0.1.0"
+
 from .bounds import (
     BoundReport,
     PiecewiseLinear,
@@ -55,8 +59,6 @@ from .partition import (
     parameter_table,
     solve_minimax,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",

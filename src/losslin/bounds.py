@@ -112,8 +112,12 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
     """Value of the active segment at x (binary search over breakpoints)."""
     if not math.isfinite(x):
         raise DomainError("evaluate requires finite x")
-    idx = bisect_right(pl.std_breakpoints, (x - pl.scale.mu) / pl.scale.sigma)
-    return pl.slopes[idx] * x + pl.intercepts[idx]
+    mu, sigma = pl.scale.mu, pl.scale.sigma
+    idx = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
+    # the active segment's domain-scale slope and intercept, computed as in
+    # the slopes/intercepts properties but without building whole tuples
+    s = pl.std_slopes[idx]
+    return s * x + (sigma * pl.std_intercepts[idx] - s * mu)
 
 
 def _evaluate_array(pl: PiecewiseLinear, xs: np.ndarray) -> np.ndarray:

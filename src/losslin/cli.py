@@ -7,14 +7,13 @@ the command line follow the user-facing convention (the lower bound's
 segment count, which is one more than the number of partition regions).
 
 The default solver tolerance is 1e-10; the LOSSLIN_TOL environment
-variable overrides it and an explicit --tol beats both.  Precomputed
-partitions cover segment counts 2..11 at the default tolerance; pass
---resolve to force a fresh solve.
+variable overrides it and an explicit --tol beats both.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,8 +22,7 @@ from .bounds import build_report
 from .errors import InvalidParameterError, LossLinError, SolverError
 from .export_io import plot_data, to_csv_table, to_json, to_lp_constraints
 from .loss_core import NormalParams, closs, loss
-from .partition import DEFAULT_TOL, Partition, solve_minimax
-from .tables import precomputed_partition
+from .partition import DEFAULT_TOL, solve_minimax
 
 __all__ = ["CliConfig", "main", "entry_point"]
 
@@ -45,7 +43,6 @@ class CliConfig:
     fmt: str = "json"
     tol: float = DEFAULT_TOL
     out: str | None = None
-    resolve: bool = False
     x: float = 0.0
     max_segments: int = 11
     n_points: int = 1001
@@ -58,8 +55,8 @@ class CliConfig:
                 f"segments must lie in 2..{_MAX_BOUNDS_SEGMENTS}")
         if self.sigma <= 0.0:
             raise InvalidParameterError("sigma must be positive")
-        if self.tol <= 0.0:
-            raise InvalidParameterError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidParameterError("tol must be a positive finite number")
         if not 2 <= self.max_segments <= _MAX_SEGMENTS_CAP:
             raise InvalidParameterError(
                 f"max segments must lie in 2..{_MAX_SEGMENTS_CAP}")
@@ -97,8 +94,6 @@ def _parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max", dest="max_segments", type=int, default=11,
                          help="largest segment count (default 11)")
     p_table.add_argument("--tol", type=float, default=None)
-    p_table.add_argument("--resolve", action="store_true",
-                         help="ignore the precomputed partitions")
     p_table.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_bounds = sub.add_parser("bounds", help="build and export a bound pair")
@@ -108,7 +103,6 @@ def _parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--format", dest="fmt",
                           choices=("json", "csv", "lp", "plot"), default="json")
     p_bounds.add_argument("--tol", type=float, default=None)
-    p_bounds.add_argument("--resolve", action="store_true")
     p_bounds.add_argument("--out", default=None)
     p_bounds.add_argument("--n-points", dest="n_points", type=int, default=1001,
                           help="rows in plot output (default 1001)")
@@ -130,21 +124,12 @@ def _config(args: argparse.Namespace) -> CliConfig:
         fmt=getattr(args, "fmt", "json"),
         tol=tol if tol is not None else _default_tol(),
         out=getattr(args, "out", None),
-        resolve=getattr(args, "resolve", False),
         x=getattr(args, "x", 0.0),
         max_segments=getattr(args, "max_segments", 11),
         n_points=getattr(args, "n_points", 1001),
         var_x=getattr(args, "var_x", "x"),
         var_l=getattr(args, "var_l", "L"),
     )
-
-
-def _partition_for(segments: int, cfg: CliConfig) -> Partition:
-    if not cfg.resolve and cfg.tol == DEFAULT_TOL:
-        cached = precomputed_partition(segments - 1)
-        if cached is not None:
-            return cached
-    return solve_minimax(segments - 1, tol=cfg.tol)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -167,7 +152,7 @@ def cmd_table(cfg: CliConfig) -> int:
     failures = []
     for segments in range(2, cfg.max_segments + 1):
         try:
-            rows.append(_partition_for(segments, cfg))
+            rows.append(solve_minimax(segments - 1, tol=cfg.tol))
         except SolverError as exc:
             failures.append(segments)
             print(f"segments {segments}: {exc}", file=sys.stderr)
@@ -177,7 +162,7 @@ def cmd_table(cfg: CliConfig) -> int:
 
 
 def cmd_bounds(cfg: CliConfig) -> int:
-    part = _partition_for(cfg.segments, cfg)
+    part = solve_minimax(cfg.segments - 1, tol=cfg.tol)
     scale = NormalParams(cfg.mu, cfg.sigma)
     report = build_report(part, scale, cfg.target)
     if cfg.fmt == "json":

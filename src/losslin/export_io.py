@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .bounds import BoundReport, PiecewiseLinear, evaluate, _evaluate_array, _exact, _grid
 from .errors import InvalidParameterError
 from .partition import Partition
@@ -29,7 +30,6 @@ __all__ = [
 ]
 
 TOOL_NAME = "losslin"
-TOOL_VERSION = "0.1.0"
 
 
 def _fmt(x: float) -> str:
@@ -92,7 +92,7 @@ class ExportBundle:
         lower = report.lower
         metadata = {
             "tool": TOOL_NAME,
-            "version": TOOL_VERSION,
+            "version": __version__,
             "segment_count": lower.n_segments,
             "target": lower.target,
             "kind": "lower_upper_pair",
@@ -207,7 +207,7 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
         raise InvalidParameterError("upper bound has no breakpoints to tabulate")
     meta = lower.scale
     out = [
-        f"\\ {TOOL_NAME} {TOOL_VERSION}: piecewise linear bounds for target"
+        f"\\ {TOOL_NAME} {__version__}: piecewise linear bounds for target"
         f" {lower.target}, normal(mu={_lp_num(meta.mu)}, sigma={_lp_num(meta.sigma)})",
         f"\\ lower bound: {var_L} >= slope*{var_x} + intercept, one row per segment",
         "Subject To",

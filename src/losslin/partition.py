@@ -266,8 +266,8 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     """
     if not isinstance(n_regions, int) or n_regions < 1:
         raise InvalidParameterError(f"n_regions must be a positive integer, got {n_regions!r}")
-    if not (tol > 0.0):
-        raise InvalidParameterError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameterError("tol must be a positive finite number")
 
     if n_regions == 1:
         return Partition.from_boundaries(())

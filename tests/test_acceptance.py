@@ -44,7 +44,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_parameter_table_regression(capsys):
     start = time.perf_counter()
-    rc = cli_main(["table", "--max", "11", "--resolve"])
+    rc = cli_main(["table", "--max", "11"])
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
 

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -357,3 +358,21 @@ def test_sandwich_property(n, mu, sigma, target):
     exact = exact_values(report.lower, xs)
     assert np.min(exact - pl_values(report.lower, xs)) >= -1e-9
     assert np.min(pl_values(report.upper, xs) - exact) >= -1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    mu=st.floats(min_value=-100.0, max_value=100.0),
+    sigma=st.floats(min_value=0.01, max_value=100.0),
+    target=st.sampled_from(("closs", "loss")),
+    kind=st.sampled_from(("lower", "upper")),
+    t=st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_scalar_evaluate_is_the_active_domain_segment(n, mu, sigma, target, kind, t):
+    scale = NormalParams(mu, sigma)
+    report = build_report(solve_minimax(n), scale, target)
+    pl = report.lower if kind == "lower" else report.upper
+    x = mu + sigma * t
+    i = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
+    assert evaluate(pl, x) == pl.slopes[i] * x + pl.intercepts[i]

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from losslin import max_gap, build_lower, solve_minimax
+from losslin import (
+    NormalParams,
+    build_lower,
+    build_report,
+    max_gap,
+    parameter_table,
+    plot_data,
+    solve_minimax,
+    to_csv_table,
+    to_json,
+    to_lp_constraints,
+)
 from losslin.cli import _MAX_BOUNDS_SEGMENTS, CliConfig, main
 from losslin.errors import InvalidParameterError
 
@@ -76,11 +87,6 @@ class TestTable:
         # cross-check the solver-reported error against a grid scan
         gap, _ = max_gap(build_lower(solve_minimax(11)), 100_000)
         assert err12 == approx(gap, abs=1e-6)
-
-    def test_resolve_matches_cache_bit_for_bit(self, capsys):
-        _, cached, _ = run(capsys, "table", "--max", "11")
-        _, fresh, _ = run(capsys, "table", "--max", "11", "--resolve")
-        assert cached == fresh
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "table", "--max", "6")
@@ -167,10 +173,35 @@ class TestBounds:
         assert err.startswith("error:") and str(_MAX_BOUNDS_SEGMENTS) in err
 
 
+class TestMatchesLibrary:
+    """CLI stdout is byte-for-byte the library's own export."""
+
+    def test_table(self, capsys):
+        rc, out, _ = run(capsys, "table", "--max", "12")
+        assert rc == 0
+        assert out == to_csv_table(parameter_table(12))
+
+    @pytest.mark.parametrize("segments", [2, 11, 12])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "lp", "plot"])
+    def test_bounds(self, capsys, segments, fmt):
+        rc, out, _ = run(capsys, "bounds", "--segments", str(segments),
+                         "--mu", "20", "--sigma", "5", "--format", fmt)
+        assert rc == 0
+        part = solve_minimax(segments - 1)
+        report = build_report(part, NormalParams(20.0, 5.0))
+        want = {
+            "json": to_json(report),
+            "csv": to_csv_table([part]),
+            "lp": to_lp_constraints(report),
+            "plot": plot_data(report, 1001),
+        }
+        assert out == want[fmt]
+
+
 class TestEnvironmentTolerance:
     def test_env_override_used(self, capsys, monkeypatch):
         monkeypatch.setenv("LOSSLIN_TOL", "1e-6")
-        rc, out, _ = run(capsys, "table", "--max", "4", "--resolve")
+        rc, out, _ = run(capsys, "table", "--max", "4")
         assert rc == 0
         assert out.splitlines()[1].startswith("2,")
 
@@ -179,6 +210,20 @@ class TestEnvironmentTolerance:
         rc, _, err = run(capsys, "table", "--max", "4")
         assert rc == 1
         assert "LOSSLIN_TOL" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("via_env", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ("table", "--max", "4"), ("bounds", "--segments", "5")])
+    def test_invalid_tol_rejected(self, capsys, monkeypatch, argv, via_env, tol):
+        if via_env:
+            monkeypatch.setenv("LOSSLIN_TOL", tol)
+        else:
+            argv = (*argv, "--tol", tol)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: tol must be a positive finite number\n"
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LOSSLIN_TOL", "not-a-number")

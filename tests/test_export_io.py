@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import losslin
 from losslin import (
     InvalidParameterError,
     NormalParams,
@@ -105,6 +106,13 @@ class TestJson:
     def test_from_json_rejects_truncated_document(self):
         with pytest.raises(InvalidParameterError):
             from_json('{"metadata": {}}')
+
+
+def test_exports_carry_the_package_version():
+    report = build_report(solve_minimax(3))
+    assert json.loads(to_json(report))["metadata"]["version"] == losslin.__version__
+    header = to_lp_constraints(report).splitlines()[0]
+    assert header.startswith(f"\\ losslin {losslin.__version__}:")
 
 
 class TestCsvTable:

@@ -21,7 +21,6 @@ from losslin import (
     solve_minimax,
 )
 from losslin import partition as partition_mod
-from losslin.tables import precomputed_partition
 
 from reference_table import REFERENCE
 
@@ -50,6 +49,14 @@ class TestDegenerateCases:
             solve_minimax(-3)
         with pytest.raises(InvalidParameterError):
             solve_minimax(4, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        # tol=inf would otherwise accept the initial quantile guess as converged
+        with pytest.raises(InvalidParameterError, match="positive finite"):
+            solve_minimax(4, tol=tol)
+        with pytest.raises(InvalidParameterError, match="positive finite"):
+            parameter_table(4, tol=tol)
 
 
 class TestBreakpointErrors:
@@ -253,20 +260,6 @@ class TestParameterTable:
     def test_requires_at_least_two_segments(self):
         with pytest.raises(InvalidParameterError):
             parameter_table(1)
-
-
-class TestPrecomputedTables:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_embedded_matches_fresh_solve(self, n):
-        cached = precomputed_partition(n)
-        fresh = solve_minimax(n)
-        assert cached.upper_limits == approx(fresh.upper_limits, abs=1e-12)
-        assert cached.masses == approx(fresh.masses, abs=1e-12)
-        assert cached.cond_means == approx(fresh.cond_means, abs=1e-12)
-        assert cached.max_error == approx(fresh.max_error, abs=1e-12)
-
-    def test_untabulated_returns_none(self):
-        assert precomputed_partition(11) is None
 
 
 class TestPartitionValidation:
