@@ -167,18 +167,22 @@ def build_upper_shift(partition: Partition, scale: NormalParams = STANDARD,
     the exact function at every conditional mean.
     """
     _check_scale(scale)
+    return _shift(build_lower(partition, scale, target), partition)
+
+
+def _shift(lower: PiecewiseLinear, partition: Partition) -> PiecewiseLinear:
+    """lower, built from partition, lifted by the partition's maximum error."""
     spread = breakpoint_errors(partition).spread
     if spread > _EQUAL_ERROR_SPREAD:
         raise InvalidParameterError(
             f"shift construction needs an equal-error partition (spread {spread:.3e})")
-    lower = build_lower(partition, scale, target)
     return PiecewiseLinear(
         std_breakpoints=lower.std_breakpoints,
         std_slopes=lower.std_slopes,
         std_intercepts=tuple(c + partition.max_error for c in lower.std_intercepts),
         kind="upper",
-        target=target,
-        scale=scale,
+        target=lower.target,
+        scale=lower.scale,
     )
 
 
@@ -247,10 +251,9 @@ def build_report(partition: Partition, scale: NormalParams = STANDARD,
     _check_scale(scale)
     mu, sigma = scale.mu, scale.sigma
     lower = build_lower(partition, scale, target)
-    upper = build_upper_shift(partition, scale, target)
     return BoundReport(
         lower=lower,
-        upper=upper,
+        upper=_shift(lower, partition),
         max_error=sigma * partition.max_error,
         lower_error_locations=tuple(sigma * m + mu for m in partition.cond_means),
         upper_error_locations=(-math.inf,)

@@ -6,8 +6,9 @@ bound pair and writes it in one of the export formats.  Segment counts on
 the command line follow the user-facing convention (the lower bound's
 segment count, which is one more than the number of partition regions).
 
-The default solver tolerance is 1e-10; the LOSSLIN_TOL environment
-variable overrides it and an explicit --tol beats both.
+The default solver tolerance of ``table`` and ``bounds`` is 1e-10; the
+LOSSLIN_TOL environment variable overrides it and an explicit --tol beats
+both.  ``eval`` never solves and ignores LOSSLIN_TOL.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = ["CliConfig", "main", "entry_point"]
 _MAX_SEGMENTS_CAP = 30
 # largest --segments for bounds (10000 regions); keeps one call's work bounded
 _MAX_BOUNDS_SEGMENTS = 10001
+# largest --n-points for plot output; keeps the grid and its text bounded
+_MAX_PLOT_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class CliConfig:
         if not 2 <= self.max_segments <= _MAX_SEGMENTS_CAP:
             raise InvalidParameterError(
                 f"max segments must lie in 2..{_MAX_SEGMENTS_CAP}")
+        if not 2 <= self.n_points <= _MAX_PLOT_POINTS:
+            raise InvalidParameterError(
+                f"n-points must lie in 2..{_MAX_PLOT_POINTS}")
 
 
 def _default_tol() -> float:
@@ -114,7 +120,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
-    tol = getattr(args, "tol", None)
+    # eval takes no tolerance, so LOSSLIN_TOL is read only where one is used
+    tol = getattr(args, "tol", DEFAULT_TOL)
     return CliConfig(
         subcommand=args.subcommand,
         segments=getattr(args, "segments", 2),
@@ -122,7 +129,7 @@ def _config(args: argparse.Namespace) -> CliConfig:
         sigma=getattr(args, "sigma", 1.0),
         target=getattr(args, "target", "closs"),
         fmt=getattr(args, "fmt", "json"),
-        tol=tol if tol is not None else _default_tol(),
+        tol=_default_tol() if tol is None else tol,
         out=getattr(args, "out", None),
         x=getattr(args, "x", 0.0),
         max_segments=getattr(args, "max_segments", 11),

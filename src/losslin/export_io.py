@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -37,41 +38,61 @@ def _fmt(x: float) -> str:
 
 
 def _render(obj) -> str:
-    """Deterministic JSON rendering with 17-significant-digit reals."""
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+    """Deterministic JSON rendering with 17-significant-digit reals.
+
+    Dispatches on the exact type first, floats leading as they are most
+    of a bundle; strings and keys are escaped by the C encoder behind
+    json.dumps.  Subclasses of the JSON types take the slower path below.
+    """
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g")
+    if kind is dict:
+        try:
+            items = [f"{_quote(k)}: {_render(v)}" for k, v in obj.items()]
+        except TypeError as exc:
+            raise InvalidParameterError("JSON object keys must be strings") from exc
+        return "{" + ", ".join(items) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([_render(v) for v in obj]) + "]"
+    if kind is str:
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, dict):
-        items = (f"{json.dumps(k)}: {_render(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+        return _render(dict(obj))
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+        return _render(list(obj))
     raise InvalidParameterError(f"cannot serialize {type(obj).__name__}")
 
 
-def _segment_rows(pl: PiecewiseLinear) -> list[dict]:
-    bp = pl.breakpoints
+def _segment_rows(pl: PiecewiseLinear, bp: tuple[float, ...]) -> list[dict]:
+    last = len(bp)  # one segment more than breakpoints
     rows = []
     for i, (s, c) in enumerate(zip(pl.slopes, pl.intercepts)):
         rows.append({
             "slope": float(s),
             "intercept": float(c),
             "domain_low": None if i == 0 else float(bp[i - 1]),
-            "domain_high": None if i == len(pl.slopes) - 1 else float(bp[i]),
+            "domain_high": None if i == last else float(bp[i]),
         })
     return rows
 
 
 def _bound_block(pl: PiecewiseLinear, error_locations) -> dict:
+    bp = pl.breakpoints
     return {
         "kind": pl.kind,
-        "segments": _segment_rows(pl),
-        "breakpoints": [float(b) for b in pl.breakpoints],
+        "segments": _segment_rows(pl, bp),
+        "breakpoints": [float(b) for b in bp],
         "error_locations": [None if math.isinf(x) else float(x)
                             for x in error_locations],
     }
@@ -129,14 +150,28 @@ def to_json(report: BoundReport) -> str:
     return ExportBundle.from_report(report).to_text()
 
 
+_SECTIONS = ("metadata", "lower", "upper", "partition")
+
+
 def from_json(text: str) -> ExportBundle:
-    """Parse a JSON coefficient bundle back into an ExportBundle."""
-    doc = json.loads(text)
+    """Parse a JSON coefficient bundle back into an ExportBundle.
+
+    The document and each of its four sections must be JSON objects.
+    """
     try:
-        return ExportBundle(metadata=doc["metadata"], lower=doc["lower"],
-                            upper=doc["upper"], partition=doc["partition"])
+        doc = json.loads(text)
+    except ValueError as exc:  # malformed JSON, bad UTF-8, over-long integer
+        raise InvalidParameterError(f"bundle is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidParameterError("bundle must be a JSON object")
+    try:
+        sections = [doc[name] for name in _SECTIONS]
     except KeyError as exc:
         raise InvalidParameterError(f"bundle is missing section {exc}") from exc
+    for name, section in zip(_SECTIONS, sections):
+        if not isinstance(section, dict):
+            raise InvalidParameterError(f"bundle section {name!r} must be a JSON object")
+    return ExportBundle(*sections)
 
 
 def to_csv_table(partitions: list[Partition]) -> str:

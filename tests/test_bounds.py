@@ -302,6 +302,23 @@ class TestBoundReport:
         with pytest.raises(InvalidParameterError):
             build_report(solve_minimax(2), scale=(0.0, 1.0))
 
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_upper_is_the_shifted_bound(self, n, target):
+        p, scale = solve_minimax(n), NormalParams(-3.5, 0.37)
+        assert build_report(p, scale, target).upper == build_upper_shift(p, scale, target)
+
+    def test_reuses_the_partition_statistics(self, region_stats_calls):
+        p = solve_minimax(7)
+        del region_stats_calls[:]
+        build_report(p, NormalParams(1.0, 2.0), "loss")
+        assert region_stats_calls == []
+
+    def test_rejects_a_partition_without_equal_errors(self):
+        skew = Partition.from_boundaries((-2.0, 0.0, 2.0))
+        with pytest.raises(InvalidParameterError, match="equal-error"):
+            build_report(skew)
+
 
 class TestPiecewiseLinearValidation:
     def test_discontinuous_chain_rejected(self):

@@ -18,7 +18,7 @@ from losslin import (
     to_json,
     to_lp_constraints,
 )
-from losslin.cli import _MAX_BOUNDS_SEGMENTS, CliConfig, main
+from losslin.cli import _MAX_BOUNDS_SEGMENTS, _MAX_PLOT_POINTS, CliConfig, main
 from losslin.errors import InvalidParameterError
 
 from reference_table import REFERENCE
@@ -172,6 +172,15 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error:") and str(_MAX_BOUNDS_SEGMENTS) in err
 
+    @pytest.mark.parametrize("n_points", [1, _MAX_PLOT_POINTS + 1])
+    def test_plot_point_cap(self, capsys, n_points):
+        # rejected while validating options, before any grid is allocated
+        rc, out, err = run(capsys, "bounds", "--segments", "3", "--format", "plot",
+                           "--n-points", str(n_points))
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: n-points must lie in 2..{_MAX_PLOT_POINTS}\n"
+
 
 class TestMatchesLibrary:
     """CLI stdout is byte-for-byte the library's own export."""
@@ -224,6 +233,20 @@ class TestEnvironmentTolerance:
         assert rc == 1
         assert out == ""
         assert err == "error: tol must be a positive finite number\n"
+
+    def test_eval_ignores_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOSSLIN_TOL", "abc")
+        rc, out, err = run(capsys, "eval", "--x", "0")
+        assert rc == 0
+        assert out.strip() == "0.398942280401"
+        assert err == ""
+
+    def test_bounds_still_rejects_invalid_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOSSLIN_TOL", "abc")
+        rc, out, err = run(capsys, "bounds", "--segments", "5")
+        assert rc == 1
+        assert out == ""
+        assert err == "error: LOSSLIN_TOL is not a number: 'abc'\n"
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LOSSLIN_TOL", "not-a-number")

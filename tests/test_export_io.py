@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from losslin import (
     to_json,
     to_lp_constraints,
 )
+from losslin import export_io
 
 from reference_table import REFERENCE
 
@@ -106,6 +108,82 @@ class TestJson:
     def test_from_json_rejects_truncated_document(self):
         with pytest.raises(InvalidParameterError):
             from_json('{"metadata": {}}')
+
+    @pytest.mark.parametrize("text", [
+        "[]", "1", "nope", "", b"\xff{}", "9" * 5000,
+        '{"metadata": 1, "lower": 2, "upper": 3, "partition": 4}',
+        '{"metadata": {}, "lower": {}, "upper": [], "partition": {}}',
+    ])
+    def test_from_json_rejects_malformed_documents(self, text):
+        with pytest.raises(InvalidParameterError):
+            from_json(text)
+
+
+# SHA-256 prefixes of the to_json and to_lp_constraints bytes.  The bytes
+# are the export contract, so any rework of the renderer or of
+# build_report must leave them unchanged.  Recorded with numpy 2.4 and
+# scipy 1.17 on x86-64; other floating-point libraries may move the last
+# digit of a solved boundary.  Key: (segments, target, index into
+# _DIGEST_SCALES).
+_DIGEST_SCALES = (NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37))
+_DIGESTS = {
+    (2, "closs", 0): ('9d2f743c9ec9c45d', '651c33d2fae7195b'),
+    (2, "closs", 1): ('db3220b0b9a6e614', '1942e2b95784c7f5'),
+    (2, "loss", 0): ("339d88dbd7126b33", "0f94ce7566f71500"),
+    (2, "loss", 1): ("b545f095cc5db82d", "806a5e1fa959fef3"),
+    (5, "closs", 0): ("ae78cf6653f400b2", "d4a6afffe523e192"),
+    (5, "closs", 1): ("7b51348816699029", "c4466469fb34dddd"),
+    (5, "loss", 0): ("de43514095de012c", "4958766b953d29d4"),
+    (5, "loss", 1): ("9737a6d29e4c5fca", "e20a0bd798b15eae"),
+    (12, "closs", 0): ("d0b365b0bc161a33", "590deaf2d473634c"),
+    (12, "closs", 1): ("1f5660e781d19f02", "717ed7a3afb322d5"),
+    (12, "loss", 0): ("710bba3f7be7422e", "aa62f4e90b5259d2"),
+    (12, "loss", 1): ("9da7027d98d09c85", "614263acd8d83523"),
+    (31, "closs", 0): ("d87c22b5843c333d", "7efc383bcae6360f"),
+    (31, "closs", 1): ("7e5708552b51d37f", "5d9ea18097845640"),
+    (31, "loss", 0): ("35aba290f6025406", "99a0106487aa8920"),
+    (31, "loss", 1): ("310f873ac843aa24", "7b1595ac758a6d4e"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("segments", [2, 5, 12, 31])
+def test_export_bytes_are_pinned(segments):
+    part = solve_minimax(segments - 1)
+    for target in ("closs", "loss"):
+        for k, scale in enumerate(_DIGEST_SCALES):
+            report = build_report(part, scale, target)
+            got = (_sha(to_json(report)), _sha(to_lp_constraints(report)))
+            assert got == _DIGESTS[(segments, target, k)], (target, k)
+
+
+class TestRender:
+    """_render spells every JSON value as json.dumps would, reals as .17g."""
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (False, "false"), (None, "null"),
+        (0, "0"), (-7, "-7"), (2**70, str(2**70)),
+        (-0.0, "-0"), (0.1, "0.10000000000000001"), (1e300, "1.0000000000000001e+300"),
+        ("plain", '"plain"'), ('q"\\\n\u00e9\u2603', json.dumps('q"\\\n\u00e9\u2603')),
+        ([], "[]"), ((), "[]"), ({}, "{}"),
+        ([1, [2.5, (None, "a")], {"k": (True,)}], '[1, [2.5, [null, "a"]], {"k": [true]}]'),
+        ({"a": {"b": [-0.0]}, "é": 1}, '{"a": {"b": [-0]}, "\\u00e9": 1}'),
+    ])
+    def test_values(self, value, text):
+        assert export_io._render(value) == text
+
+    def test_subclasses_render_as_their_base_type(self):
+        assert export_io._render(np.float64(0.1)) == "0.10000000000000001"
+        assert export_io._render(np.float64(-0.0)) == "-0"
+
+    def test_unserialisable_values_and_keys_are_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            export_io._render({"a": object()})
+        with pytest.raises(InvalidParameterError):
+            export_io._render({1: 2.0})
 
 
 def test_exports_carry_the_package_version():
