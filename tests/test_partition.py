@@ -249,11 +249,8 @@ class TestNewtonSystem:
 
 
 class TestOnePass:
-    """Region statistics are computed once per partition and then reused."""
-
-    def test_from_boundaries_computes_stats_once(self, region_stats_calls):
-        Partition.from_boundaries((-0.8, 0.1, 1.3))
-        assert region_stats_calls == [4]
+    """Construction certifies a partition against fresh region statistics;
+    their breakpoint errors are then reused."""
 
     def test_direct_construction_checks_a_fresh_computation(self, region_stats_calls):
         p = Partition.from_boundaries((-1.0, 0.0, 1.0, 2.5))
@@ -261,20 +258,21 @@ class TestOnePass:
         q = Partition(upper_limits=p.upper_limits, masses=p.masses,
                       cond_means=p.cond_means, max_error=p.max_error)
         assert region_stats_calls == [5]
-        assert q == p and q.errors == p.errors
+        assert q == p
+        assert breakpoint_errors(q).values == breakpoint_errors(p).values
 
     def test_breakpoint_errors_reuse_the_certified_errors(self, region_stats_calls):
         p = solve_minimax(6)
         del region_stats_calls[:]
-        assert breakpoint_errors(p).values == p.errors
-        assert breakpoint_error(3, p) == p.errors[2]
+        values = breakpoint_errors(p).values
+        assert breakpoint_error(3, p) == values[2]
         assert region_stats_calls == []
         _, _, e = partition_mod._region_stats(np.asarray(p.upper_limits))
-        assert p.errors == tuple(e.tolist())
+        assert values == tuple(e.tolist())
 
-    def test_solve_minimax_1000_makes_11_stats_calls(self, region_stats_calls):
+    def test_solve_minimax_1000_makes_12_stats_calls(self, region_stats_calls):
         solve_minimax(1000)
-        assert len(region_stats_calls) == 11
+        assert len(region_stats_calls) == 12
 
     def test_errors_field_stays_out_of_init_and_repr(self):
         p = solve_minimax(3)
@@ -282,7 +280,7 @@ class TestOnePass:
         with pytest.raises(TypeError):
             Partition(upper_limits=p.upper_limits, masses=p.masses,
                       cond_means=p.cond_means, max_error=p.max_error,
-                      errors=p.errors)
+                      _errors=breakpoint_errors(p).values)
 
 
 class TestParameterTable:
