@@ -6,26 +6,26 @@ bound pair and writes it in one of the export formats.  Segment counts on
 the command line follow the user-facing convention (the lower bound's
 segment count, which is one more than the number of partition regions).
 
-The default solver tolerance of ``table`` and ``bounds`` is 1e-10; the
-LOSSLIN_TOL environment variable overrides it and an explicit --tol beats
-both.  ``eval`` never solves and ignores LOSSLIN_TOL.
+Each option's default is set once, in the parser; ``losslin SUBCOMMAND
+--help`` shows it.  ``table`` and ``bounds`` solve with --tol, else the
+LOSSLIN_TOL environment variable, else the library's DEFAULT_TOL; ``eval``
+never solves and ignores LOSSLIN_TOL.  The library checks mu, sigma and tol;
+the CLI checks only its own size caps.  Every check runs before any solve.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .bounds import build_report
 from .errors import InvalidParameterError, LossLinError, SolverError
 from .export_io import plot_data, to_csv_table, to_json, to_lp_constraints
 from .loss_core import NormalParams, closs, loss
-from .partition import DEFAULT_TOL, solve_minimax
+from .partition import DEFAULT_TOL, check_tol, solve_minimax
 
-__all__ = ["CliConfig", "main", "entry_point"]
+__all__ = ["main", "entry_point"]
 
 _MAX_SEGMENTS_CAP = 30
 # largest --segments for bounds (10000 regions); keeps one call's work bounded
@@ -34,48 +34,19 @@ _MAX_BOUNDS_SEGMENTS = 10001
 _MAX_PLOT_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated bundle of command-line options."""
-
-    subcommand: str
-    segments: int = 2
-    mu: float = 0.0
-    sigma: float = 1.0
-    target: str = "closs"
-    fmt: str = "json"
-    tol: float = DEFAULT_TOL
-    out: str | None = None
-    x: float = 0.0
-    max_segments: int = 11
-    n_points: int = 1001
-    var_x: str = "x"
-    var_l: str = "L"
-
-    def __post_init__(self):
-        if not 2 <= self.segments <= _MAX_BOUNDS_SEGMENTS:
-            raise InvalidParameterError(
-                f"segments must lie in 2..{_MAX_BOUNDS_SEGMENTS}")
-        if self.sigma <= 0.0:
-            raise InvalidParameterError("sigma must be positive")
-        if not 0.0 < self.tol < math.inf:
-            raise InvalidParameterError("tol must be a positive finite number")
-        if not 2 <= self.max_segments <= _MAX_SEGMENTS_CAP:
-            raise InvalidParameterError(
-                f"max segments must lie in 2..{_MAX_SEGMENTS_CAP}")
-        if not 2 <= self.n_points <= _MAX_PLOT_POINTS:
-            raise InvalidParameterError(
-                f"n-points must lie in 2..{_MAX_PLOT_POINTS}")
+def _in_range(name: str, value: int, cap: int) -> None:
+    if not 2 <= value <= cap:
+        raise InvalidParameterError(f"{name} must lie in 2..{cap}")
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("LOSSLIN_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise InvalidParameterError(f"LOSSLIN_TOL is not a number: {raw!r}") from exc
+def _tol(args: argparse.Namespace) -> float:
+    tol, raw = args.tol, os.environ.get("LOSSLIN_TOL")
+    if tol is None and raw is not None:
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise InvalidParameterError(f"LOSSLIN_TOL is not a number: {raw!r}") from exc
+    return check_tol(DEFAULT_TOL if tol is None else tol)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -86,11 +57,16 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--mu", type=float, default=0.0, help="mean (default 0)")
+        p.add_argument("--mu", type=float, default=0.0, help="mean (default %(default)s)")
         p.add_argument("--sigma", type=float, default=1.0,
-                       help="standard deviation (default 1)")
+                       help="standard deviation (default %(default)s)")
         p.add_argument("--target", choices=("closs", "loss"), default="closs",
-                       help="complementary loss (default) or loss")
+                       help="complementary loss or loss (default %(default)s)")
+
+    def solver(p):
+        p.add_argument("--tol", type=float,
+                       help=f"solver tolerance (default LOSSLIN_TOL, else {DEFAULT_TOL:g})")
+        p.add_argument("--out", help="output path (default stdout)")
 
     p_eval = sub.add_parser("eval", help="exact loss value at a point")
     p_eval.add_argument("--x", type=float, required=True)
@@ -98,45 +74,24 @@ def _parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="optimal parameter table")
     p_table.add_argument("--max", dest="max_segments", type=int, default=11,
-                         help="largest segment count (default 11)")
-    p_table.add_argument("--tol", type=float, default=None)
-    p_table.add_argument("--out", default=None, help="output path (default stdout)")
+                         help="largest segment count (default %(default)s)")
+    solver(p_table)
 
     p_bounds = sub.add_parser("bounds", help="build and export a bound pair")
     p_bounds.add_argument("--segments", type=int, required=True,
                           help="lower-bound segment count (>= 2)")
     common(p_bounds)
     p_bounds.add_argument("--format", dest="fmt",
-                          choices=("json", "csv", "lp", "plot"), default="json")
-    p_bounds.add_argument("--tol", type=float, default=None)
-    p_bounds.add_argument("--out", default=None)
+                          choices=("json", "csv", "lp", "plot"), default="json",
+                          help="output format (default %(default)s)")
+    solver(p_bounds)
     p_bounds.add_argument("--n-points", dest="n_points", type=int, default=1001,
-                          help="rows in plot output (default 1001)")
+                          help="rows in plot output (default %(default)s)")
     p_bounds.add_argument("--var-x", dest="var_x", default="x",
-                          help="LP variable name for the argument")
+                          help="LP variable name for the argument (default %(default)s)")
     p_bounds.add_argument("--var-L", dest="var_l", default="L",
-                          help="LP variable name for the loss value")
+                          help="LP variable name for the loss value (default %(default)s)")
     return parser
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    # eval takes no tolerance, so LOSSLIN_TOL is read only where one is used
-    tol = getattr(args, "tol", DEFAULT_TOL)
-    return CliConfig(
-        subcommand=args.subcommand,
-        segments=getattr(args, "segments", 2),
-        mu=getattr(args, "mu", 0.0),
-        sigma=getattr(args, "sigma", 1.0),
-        target=getattr(args, "target", "closs"),
-        fmt=getattr(args, "fmt", "json"),
-        tol=_default_tol() if tol is None else tol,
-        out=getattr(args, "out", None),
-        x=getattr(args, "x", 0.0),
-        max_segments=getattr(args, "max_segments", 11),
-        n_points=getattr(args, "n_points", 1001),
-        var_x=getattr(args, "var_x", "x"),
-        var_l=getattr(args, "var_l", "L"),
-    )
 
 
 def _write(text: str, out: str | None) -> None:
@@ -147,56 +102,56 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def cmd_eval(cfg: CliConfig) -> int:
-    params = NormalParams(cfg.mu, cfg.sigma)
-    fn = closs if cfg.target == "closs" else loss
-    print(f"{fn(cfg.x, params):.12f}")
+def cmd_eval(args: argparse.Namespace) -> int:
+    params = NormalParams(args.mu, args.sigma)
+    fn = closs if args.target == "closs" else loss
+    print(f"{fn(args.x, params):.12f}")
     return 0
 
 
-def cmd_table(cfg: CliConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
+    tol = _tol(args)
+    _in_range("max segments", args.max_segments, _MAX_SEGMENTS_CAP)
     rows = []
     failures = []
-    for segments in range(2, cfg.max_segments + 1):
+    for segments in range(2, args.max_segments + 1):
         try:
-            rows.append(solve_minimax(segments - 1, tol=cfg.tol))
+            rows.append(solve_minimax(segments - 1, tol=tol))
         except SolverError as exc:
             failures.append(segments)
             print(f"segments {segments}: {exc}", file=sys.stderr)
     if rows:
-        _write(to_csv_table(rows), cfg.out)
+        _write(to_csv_table(rows), args.out)
     return 1 if failures else 0
 
 
-def cmd_bounds(cfg: CliConfig) -> int:
-    part = solve_minimax(cfg.segments - 1, tol=cfg.tol)
-    scale = NormalParams(cfg.mu, cfg.sigma)
-    report = build_report(part, scale, cfg.target)
-    if cfg.fmt == "json":
+def cmd_bounds(args: argparse.Namespace) -> int:
+    _in_range("segments", args.segments, _MAX_BOUNDS_SEGMENTS)
+    scale = NormalParams(args.mu, args.sigma)
+    tol = _tol(args)
+    _in_range("n-points", args.n_points, _MAX_PLOT_POINTS)
+    part = solve_minimax(args.segments - 1, tol=tol)
+    report = build_report(part, scale, args.target)
+    if args.fmt == "json":
         text = to_json(report)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = to_csv_table([part])
-    elif cfg.fmt == "lp":
-        text = to_lp_constraints(report, cfg.var_x, cfg.var_l)
+    elif args.fmt == "lp":
+        text = to_lp_constraints(report, args.var_x, args.var_l)
     else:
-        text = plot_data(report, cfg.n_points)
-    _write(text, cfg.out)
+        text = plot_data(report, args.n_points)
+    _write(text, args.out)
     return 0
+
+
+_COMMANDS = {"eval": cmd_eval, "table": cmd_table, "bounds": cmd_bounds}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        if cfg.subcommand == "eval":
-            return cmd_eval(cfg)
-        if cfg.subcommand == "table":
-            return cmd_table(cfg)
-        return cmd_bounds(cfg)
-    except LossLinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _COMMANDS[args.subcommand](args)
+    except (LossLinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

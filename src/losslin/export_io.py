@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -190,7 +191,10 @@ def to_csv_table(partitions: list[Partition]) -> str:
 def _lp_num(x: float) -> str:
     # positional notation (LP parsers dislike exponents), shortest
     # representation that still round-trips the double
-    return np.format_float_positional(float(x), unique=True, trim="-")
+    r = repr(float(x))
+    if "e" in r:
+        r = format(Decimal(r), "f")
+    return r[:-2] if r.endswith(".0") else r
 
 
 def _lp_term(coef: float, var: str) -> str:
@@ -267,7 +271,8 @@ def plot_data(report: BoundReport, n_points: int) -> str:
     exact = np.asarray(_exact(lower, xs), dtype=float)
     lo = _evaluate_array(lower, xs)
     up = _evaluate_array(upper, xs)
+    cols = (xs, exact, lo, up, exact - lo, up - exact)
     lines = ["x,exact,lower,upper,gap_lower,gap_upper"]
-    for row in zip(xs, exact, lo, up, exact - lo, up - exact):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
+              for row in zip(*(c.tolist() for c in cols))]
     return "\n".join(lines) + "\n"

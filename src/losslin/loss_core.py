@@ -80,16 +80,11 @@ def closs_std(x):
 def loss_std(x):
     """Loss of the standard normal: phi(x) - x * (1 - Phi(x)).
 
-    The survival factor is computed as Phi(-x) to avoid cancellation in
-    the right tail.  Equals closs_std(-x) by symmetry.
+    Computed as closs_std(-x), which is the same quantity by symmetry of
+    the normal; the survival factor 1 - Phi(x) then comes out as Phi(-x),
+    free of cancellation in the right tail.
     """
-    arr, scalar = _validated(x)
-    clipped = np.clip(arr, -gaussian.SATURATION, gaussian.SATURATION)
-    val = (gaussian._INV_SQRT_2PI * np.exp(-0.5 * clipped * clipped)
-           - gaussian._cdf_unchecked(-clipped) * clipped)
-    val = np.where(arr > gaussian.SATURATION, 0.0, val)
-    val = np.where(arr < -gaussian.SATURATION, -arr, val)
-    return float(val) if scalar else val
+    return closs_std(-np.asarray(x, dtype=float))
 
 
 def closs(x, params: NormalParams):

@@ -40,6 +40,7 @@ __all__ = [
     "breakpoint_errors",
     "solve_minimax",
     "parameter_table",
+    "check_tol",
     "DEFAULT_TOL",
 ]
 
@@ -256,6 +257,13 @@ def _ordered(neg: np.ndarray, n_regions: int) -> bool:
     return bool(np.all(np.isfinite(interior)) and np.all(np.diff(interior) > 0))
 
 
+def check_tol(tol: float) -> float:
+    """Return tol if it is a usable solver tolerance: positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameterError("tol must be a positive finite number")
+    return tol
+
+
 def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     """Solve the equal-error system for an N-region minimax partition.
 
@@ -272,8 +280,7 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     """
     if not isinstance(n_regions, int) or n_regions < 1:
         raise InvalidParameterError(f"n_regions must be a positive integer, got {n_regions!r}")
-    if not 0.0 < tol < math.inf:
-        raise InvalidParameterError("tol must be a positive finite number")
+    check_tol(tol)
 
     if n_regions == 1:
         return Partition.from_boundaries(())

@@ -18,8 +18,7 @@ from losslin import (
     to_json,
     to_lp_constraints,
 )
-from losslin.cli import _MAX_BOUNDS_SEGMENTS, _MAX_PLOT_POINTS, CliConfig, main
-from losslin.errors import InvalidParameterError
+from losslin.cli import _MAX_BOUNDS_SEGMENTS, _MAX_PLOT_POINTS, main
 
 from reference_table import REFERENCE
 
@@ -254,16 +253,29 @@ class TestEnvironmentTolerance:
         assert rc == 0
 
 
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            CliConfig(subcommand="bounds", segments=1)
-        with pytest.raises(InvalidParameterError):
-            CliConfig(subcommand="eval", sigma=0.0)
-        with pytest.raises(InvalidParameterError):
-            CliConfig(subcommand="table", tol=-1e-9)
-        with pytest.raises(InvalidParameterError):
-            CliConfig(subcommand="table", max_segments=31)
+class TestOptionChecks:
+    """Each bad option fails with exit 1 and an error line before any solve."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_solving(self, monkeypatch):
+        def solve(*args, **kwargs):
+            pytest.fail("solve_minimax called with an invalid option")
+        monkeypatch.setattr("losslin.cli.solve_minimax", solve)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bounds", "--segments", "1"), f"segments must lie in 2..{_MAX_BOUNDS_SEGMENTS}"),
+        (("table", "--max", "31"), "max segments must lie in 2..30"),
+        (("eval", "--x", "0", "--sigma", "0"), "sigma must be positive, got 0.0"),
+        (("table", "--tol=-1e-9"), "tol must be a positive finite number"),
+        (("bounds", "--segments", "3", "--n-points", "1"),
+         f"n-points must lie in 2..{_MAX_PLOT_POINTS}"),
+        (("bounds", "--segments", "3", "--mu", "nan"), "mu and sigma must be finite"),
+    ])
+    def test_rejected_before_solving(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_module_entry_point():

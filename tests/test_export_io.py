@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from pytest import approx
 
 import losslin
@@ -364,6 +366,25 @@ class TestLpConstraints:
         assert f" {name} free" in rest
 
 
+def _numpy_lp_num(x: float) -> str:
+    """The numpy formatter _lp_num replaced: shortest round-trip, positional."""
+    return np.format_float_positional(x, unique=True, trim="-")
+
+
+class TestLpNumber:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_numpy_positional(self, x):
+        assert export_io._lp_num(x) == _numpy_lp_num(x)
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1.0, -3.0, 0.1, 1e-5, 1e15, 1e16, 1e22, 1.5e300,
+        5e-324, -2.5e-310, 1.7976931348623157e308, 9007199254740993.0])
+    def test_edge_values(self, x):
+        text = export_io._lp_num(x)
+        assert text == _numpy_lp_num(x)
+        assert "e" not in text and float(text) == x
+
+
 class TestPlotData:
     def test_columns_and_header(self):
         text = plot_data(build_report(solve_minimax(2)), 101)
@@ -397,3 +418,10 @@ class TestPlotData:
     def test_point_count_floor(self):
         with pytest.raises(InvalidParameterError):
             plot_data(build_report(solve_minimax(2)), 1)
+
+    def test_cells_are_17_significant_digits(self):
+        for scale in (NormalParams(), NormalParams(-3.0, 0.25), NormalParams(1e6, 1e-3)):
+            text = plot_data(build_report(solve_minimax(5), scale), 2001)
+            for line in text.splitlines()[1:]:
+                for cell in line.split(","):
+                    assert format(float(cell), ".17g") == cell

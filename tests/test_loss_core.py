@@ -20,6 +20,7 @@ from losslin import (
     closs_std,
     loss,
     loss_std,
+    phi,
 )
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -74,6 +75,42 @@ class TestClosedForms:
                 fn(math.nan)
             with pytest.raises(DomainError):
                 fn(math.inf)
+
+
+def _mirrored_loss_std(x):
+    """The direct loss kernel phi(x) - x * Phi(-x), saturated beyond |x| > 38."""
+    arr = np.asarray(x, dtype=float)
+    clipped = np.clip(arr, -38.0, 38.0)
+    val = phi(clipped) - cdf(-clipped) * clipped
+    val = np.where(arr > 38.0, 0.0, val)
+    return np.where(arr < -38.0, -arr, val)
+
+
+class TestLossByReflection:
+    """loss_std is closs_std(-x); the direct kernel stays here as its reference."""
+
+    def test_bitwise_equal_to_direct_kernel(self):
+        edges = [38.0, -38.0, 0.0, -0.0]
+        edges += [np.nextafter(e, t) for e in (38.0, -38.0) for t in (0.0, 99.0 * e)]
+        xs = np.concatenate([np.linspace(-45.0, 45.0, 200_001), edges])
+        assert loss_std(xs).tobytes() == _mirrored_loss_std(xs).tobytes()
+        assert loss_std(xs).tobytes() == closs_std(-xs).tobytes()
+
+    @given(st.floats(-60.0, 60.0), st.floats(-50.0, 50.0), st.floats(0.01, 100.0))
+    def test_scaled_loss_matches_direct_kernel(self, x, mu, sigma):
+        want = sigma * float(_mirrored_loss_std((x - mu) / sigma))
+        assert loss(x, NormalParams(mu, sigma)) == want
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            loss_std(bad)
+        with pytest.raises(DomainError):
+            loss_std(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("x", [0.5, -2, np.float64(3.0), np.array(1.5)])
+    def test_scalar_input_gives_float(self, x):
+        assert type(loss_std(x)) is float
 
 
 class TestScaling:
