@@ -25,13 +25,13 @@ def main() -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    summary = ["segments,max_error,grid_gap,grid_argmax"]
+    summary = ["segments,max_error,gap,argmax"]
     for segments in range(2, args.max + 1):
         part = solve_minimax(segments - 1)
         report = build_report(part)
         path = outdir / f"profile_{segments:02d}.csv"
         path.write_text(plot_data(report, args.points))
-        gap, at = max_gap(report.lower, max(args.points, 100))
+        gap, at = max_gap(report.lower)
         summary.append(f"{segments},{part.max_error:.12g},{gap:.12g},{at:.12g}")
         print(f"segments={segments:2d}  max_error={part.max_error:.8f}  -> {path}")
 

@@ -39,7 +39,7 @@ from .export_io import (
     to_json,
     to_lp_constraints,
 )
-from .gaussian import StdNormalEval, cdf, inv_cdf, phi
+from .gaussian import cdf, inv_cdf, phi
 from .loss_core import (
     STANDARD,
     GenericDistribution,
@@ -54,7 +54,6 @@ from .loss_core import (
 from .partition import (
     BreakpointErrors,
     Partition,
-    breakpoint_error,
     breakpoint_errors,
     parameter_table,
     solve_minimax,
@@ -75,9 +74,7 @@ __all__ = [
     "QuadratureError",
     "STANDARD",
     "SolverError",
-    "StdNormalEval",
     "adaptive_simpson",
-    "breakpoint_error",
     "breakpoint_errors",
     "build_lower",
     "build_report",

@@ -2,11 +2,12 @@
 
 Bounds are composed in standard scale and carry a NormalParams scale; the
 domain-scale view (breakpoints shifted by mu, intercepts rescaled) is
-derived lazily through exact affine arithmetic.  The lower bound collects
-the tangents of the complementary loss at the partition boundaries; the
-upper bound is either that lower bound shifted up by its maximum error or
-a chord construction over caller-chosen breakpoints, with a horizontal
-line and a unit-slope line covering the two unbounded extreme regions.
+derived once, on construction, through affine arithmetic and must be
+finite.  The lower bound collects the tangents of the complementary loss
+at the partition boundaries; the upper bound is either that lower bound
+shifted up by its maximum error or a chord construction over
+caller-chosen breakpoints, with a horizontal line and a unit-slope line
+covering the two unbounded extreme regions.
 
 A "loss" target applies the shear closs(x) - (x - mu) to every segment,
 so exported coefficients are directly usable for either function.
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gaussian
 from .errors import BoundViolationError, DomainError, InvalidParameterError
-from .loss_core import NormalParams, STANDARD, closs, closs_std, loss
+from .loss_core import NormalParams, STANDARD, closs_std
 from .partition import Partition, breakpoint_errors
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 _EQUAL_ERROR_SPREAD = 1e-6
-_SANDWICH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class PiecewiseLinear:
 
     std_* fields hold the canonical standard-scale data (one more segment
     than breakpoints; outer segments unbounded).  The breakpoints, slopes
-    and intercepts properties expose the domain-scale view.
+    and intercepts properties expose the domain-scale view, which
+    construction computes once and rejects unless every value is finite.
     """
 
     std_breakpoints: tuple[float, ...]
@@ -56,8 +57,11 @@ class PiecewiseLinear:
     kind: str  # "lower" | "upper"
     target: str  # "closs" | "loss"
     scale: NormalParams
+    _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _intercepts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_scale(self.scale)
         if self.kind not in ("lower", "upper"):
             raise InvalidParameterError(f"unknown kind {self.kind!r}")
         if self.target not in ("closs", "loss"):
@@ -82,6 +86,16 @@ class PiecewiseLinear:
             raise InvalidParameterError("lower-bound slopes must be strictly increasing")
         if self.kind == "upper" and np.any(ds < 0):
             raise InvalidParameterError("upper-bound slopes must be nondecreasing")
+        mu, sigma = self.scale.mu, self.scale.sigma
+        breakpoints = tuple(sigma * t + mu for t in self.std_breakpoints)
+        intercepts = tuple(sigma * c - s * mu
+                           for s, c in zip(self.std_slopes, self.std_intercepts))
+        if not all(map(math.isfinite, breakpoints + intercepts)):
+            raise InvalidParameterError(
+                f"domain-scale breakpoints and intercepts must be finite"
+                f" (mu={mu!r}, sigma={sigma!r})")
+        object.__setattr__(self, "_breakpoints", breakpoints)
+        object.__setattr__(self, "_intercepts", intercepts)
 
     @property
     def n_segments(self) -> int:
@@ -89,8 +103,7 @@ class PiecewiseLinear:
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        mu, sigma = self.scale.mu, self.scale.sigma
-        return tuple(sigma * t + mu for t in self.std_breakpoints)
+        return self._breakpoints
 
     @property
     def slopes(self) -> tuple[float, ...]:
@@ -100,9 +113,7 @@ class PiecewiseLinear:
 
     @property
     def intercepts(self) -> tuple[float, ...]:
-        mu, sigma = self.scale.mu, self.scale.sigma
-        return tuple(sigma * c - s * mu
-                     for s, c in zip(self.std_slopes, self.std_intercepts))
+        return self._intercepts
 
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
@@ -118,13 +129,6 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
     # the slopes/intercepts properties but without building whole tuples
     s = pl.std_slopes[idx]
     return s * x + (sigma * pl.std_intercepts[idx] - s * mu)
-
-
-def _evaluate_array(pl: PiecewiseLinear, xs: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(np.asarray(pl.breakpoints), xs, side="right")
-    s = np.asarray(pl.slopes)[idx]
-    c = np.asarray(pl.intercepts)[idx]
-    return s * xs + c
 
 
 def _shear(slopes: tuple[float, ...], target: str) -> tuple[float, ...]:
@@ -143,7 +147,6 @@ def build_lower(partition: Partition, scale: NormalParams = STANDARD,
     at boundary b_i (slope Phi(b_i), intercept phi(b_i)); segment 0 is the
     zero function and the breakpoints fall at the conditional means.
     """
-    _check_scale(scale)
     interior = np.asarray(partition.upper_limits[:-1], dtype=float)
     mid_slopes = tuple(float(v) for v in np.atleast_1d(gaussian.cdf(interior)))
     mid_intercepts = tuple(float(v) for v in np.atleast_1d(gaussian.phi(interior)))
@@ -166,7 +169,6 @@ def build_upper_shift(partition: Partition, scale: NormalParams = STANDARD,
     Valid only for equal-error partitions: the lifted chain then touches
     the exact function at every conditional mean.
     """
-    _check_scale(scale)
     return _shift(build_lower(partition, scale, target), partition)
 
 
@@ -248,9 +250,8 @@ def build_report(partition: Partition, scale: NormalParams = STANDARD,
     upper bound's at the rescaled region boundaries and at +-infinity;
     both peaks equal sigma times the partition's standard error.
     """
-    _check_scale(scale)
-    mu, sigma = scale.mu, scale.sigma
     lower = build_lower(partition, scale, target)
+    mu, sigma = scale.mu, scale.sigma
     return BoundReport(
         lower=lower,
         upper=_shift(lower, partition),
@@ -263,60 +264,49 @@ def build_report(partition: Partition, scale: NormalParams = STANDARD,
     )
 
 
-def _exact(pl: PiecewiseLinear, x):
-    return closs(x, pl.scale) if pl.target == "closs" else loss(x, pl.scale)
+def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
+    """Largest absolute gap between the bound and the exact function, exactly.
 
-
-def _grid(pl: PiecewiseLinear, n: int) -> np.ndarray:
-    mu, sigma = pl.scale.mu, pl.scale.sigma
-    lo, hi = mu - 8.0 * sigma, mu + 8.0 * sigma
-    bp = pl.breakpoints
-    if bp:
-        lo = min(lo, bp[0])
-        hi = max(hi, bp[-1])
-    return np.linspace(lo, hi, n)
-
-
-def max_gap(pl: PiecewiseLinear, n_grid: int = 100_000) -> tuple[float, float]:
-    """Largest absolute gap between the bound and the exact function.
-
-    Scans a uniform grid over mu +- 8 sigma (extended to the outermost
-    breakpoints), then sharpens the winner by ternary search within one
-    grid spacing; the gap is unimodal there for both bound kinds.  Also
-    verifies the signed bound property everywhere on the grid, raising
-    BoundViolationError beyond 1e-9 slack.  Returns (gap, location).
+    The exact function is convex, so on each segment its gap to the
+    segment's line is convex (lower bound) or concave (upper bound) and
+    takes its extremes at the segment's ends or at the tangency abscissa
+    inv_cdf(slope) clipped to the segment; at -inf and +inf the gap tends
+    to the outer intercepts.  These points are evaluated in standard scale
+    (a loss target's shear removed first, which leaves the gap unchanged)
+    and the result is scaled by sigma.  Raises BoundViolationError when the
+    bound crosses the exact function by more than min(1e-12 sigma, 1e-9).
+    Returns (gap, location); the location is -inf or +inf when the gap is
+    largest in a limit.  n_grid is accepted and ignored, so that calls
+    passing a grid size keep working.
     """
-    if not isinstance(n_grid, int) or n_grid < 100:
-        raise InvalidParameterError("n_grid must be an integer >= 100")
-    xs = _grid(pl, n_grid)
-    exact = _exact(pl, xs)
-    vals = _evaluate_array(pl, xs)
-    signed = (exact - vals) if pl.kind == "lower" else (vals - exact)
-    worst = float(np.min(signed))
-    if worst < -_SANDWICH_SLACK:
+    s = np.asarray(pl.std_slopes) + (1.0 if pl.target == "loss" else 0.0)
+    c = np.asarray(pl.std_intercepts)
+    bp = np.asarray(pl.std_breakpoints)
+    # tangency abscissae clipped to segment i = [lo[i], hi[i]]; a slope of
+    # 0 or 1 clips to an end, and an infinite end is one of the limits
+    lo = np.concatenate(([-np.inf], bp))
+    hi = np.concatenate((bp, [np.inf]))
+    inside = (s > 0.0) & (s < 1.0)
+    tangent = np.where(s <= 0.0, -np.inf, np.inf)
+    tangent[inside] = gaussian.inv_cdf(s[inside])
+    tangent = np.clip(tangent, lo, hi)
+    finite = np.isfinite(tangent)
+    # each breakpoint is evaluated with the lines of both segments it ends,
+    # as they may disagree by rounding
+    seg = np.concatenate((np.arange(s.size - 1), np.arange(1, s.size), np.flatnonzero(finite)))
+    t = np.concatenate((bp, bp, tangent[finite]))
+    sign = 1.0 if pl.kind == "upper" else -1.0
+    margin = np.concatenate((sign * (s[seg] * t + c[seg] - closs_std(t)),
+                             (sign * c[0], sign * c[-1])))
+    where = np.concatenate((t, (-np.inf, np.inf)))
+
+    mu, sigma = pl.scale.mu, pl.scale.sigma
+    worst = float(np.min(margin))
+    if not worst >= -min(1e-12, 1e-9 / sigma):
         raise BoundViolationError(
-            f"{pl.kind} bound crosses the exact function by {-worst:.3e}")
-
-    gap = np.abs(vals - exact)
-    i = int(np.argmax(gap))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, n_grid - 1)]
-
-    def g(x: float) -> float:
-        return abs(evaluate(pl, x) - _exact(pl, x))
-
-    for _ in range(80):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if g(m1) < g(m2):
-            lo = m1
-        else:
-            hi = m2
-    x_best = 0.5 * (lo + hi)
-    g_best = g(x_best)
-    if g_best >= gap[i]:
-        return g_best, float(x_best)
-    return float(gap[i]), float(xs[i])
+            f"{pl.kind} bound crosses the exact function by {-worst * sigma:.3e}")
+    i = int(np.argmax(np.abs(margin)))
+    return sigma * abs(float(margin[i])), sigma * float(where[i]) + mu
 
 
 def _check_scale(scale: NormalParams):

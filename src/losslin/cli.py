@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .bounds import build_report
@@ -49,8 +50,20 @@ def _tol(args: argparse.Namespace) -> float:
     return check_tol(DEFAULT_TOL if tol is None else tol)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, reading -1e-3 and -inf as values.
+
+    argparse's own negative-number pattern knows only -123 and -1.5; no
+    losslin option starts with "-" and a digit, ".digit", "inf" or "nan".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="losslin",
         description="Loss-function values and piecewise-linear minimax bounds "
                     "for normal random variables.")

@@ -18,8 +18,9 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, PiecewiseLinear, evaluate, _evaluate_array, _exact, _grid
+from .bounds import BoundReport, PiecewiseLinear, evaluate
 from .errors import InvalidParameterError
+from .loss_core import closs, loss
 from .partition import Partition
 
 __all__ = [
@@ -255,6 +256,27 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     out.append(f" {var_L} free")
     out.append("End")
     return "\n".join(out) + "\n"
+
+
+def _grid(pl: PiecewiseLinear, n: int) -> np.ndarray:
+    mu, sigma = pl.scale.mu, pl.scale.sigma
+    lo, hi = mu - 8.0 * sigma, mu + 8.0 * sigma
+    bp = pl.breakpoints
+    if bp:
+        lo = min(lo, bp[0])
+        hi = max(hi, bp[-1])
+    return np.linspace(lo, hi, n)
+
+
+def _evaluate_array(pl: PiecewiseLinear, xs: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(np.asarray(pl.breakpoints), xs, side="right")
+    s = np.asarray(pl.slopes)[idx]
+    c = np.asarray(pl.intercepts)[idx]
+    return s * xs + c
+
+
+def _exact(pl: PiecewiseLinear, x):
+    return closs(x, pl.scale) if pl.target == "closs" else loss(x, pl.scale)
 
 
 def plot_data(report: BoundReport, n_points: int) -> str:

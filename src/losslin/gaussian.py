@@ -10,7 +10,6 @@ returns a plain ``float``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -124,20 +123,3 @@ def inv_cdf(p):
         x = x - np.where(safe, resid / np.where(safe, dens, 1.0), 0.0)
     out = x.reshape(arr.shape)
     return float(out) if scalar else out
-
-
-@dataclass(frozen=True)
-class StdNormalEval:
-    """A point evaluation of the standard normal pair (pdf, cdf).
-
-    Invariants: pdf >= 0, 0 <= cdf <= 1, and cdf(x) + cdf(-x) = 1 up to
-    rounding.
-    """
-
-    x: float
-    pdf: float
-    cdf: float
-
-    @classmethod
-    def at(cls, x: float) -> "StdNormalEval":
-        return cls(x=float(x), pdf=phi(x), cdf=cdf(x))

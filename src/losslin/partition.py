@@ -36,7 +36,6 @@ from .loss_core import closs_std
 __all__ = [
     "Partition",
     "BreakpointErrors",
-    "breakpoint_error",
     "breakpoint_errors",
     "solve_minimax",
     "parameter_table",
@@ -176,13 +175,6 @@ def breakpoint_errors(partition: Partition) -> BreakpointErrors:
     These are the errors the partition was certified with on construction.
     """
     return BreakpointErrors(values=partition._errors)
-
-
-def breakpoint_error(i: int, partition: Partition) -> float:
-    """Error at breakpoint i (1-indexed): closs_std(m_i) - (Phi(b_i) m_i + phi(b_i))."""
-    if not 1 <= i <= partition.n_regions:
-        raise IndexError(f"breakpoint index {i} out of range 1..{partition.n_regions}")
-    return breakpoint_errors(partition).values[i - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from functools import cache
 
 import numpy as np
 import pytest
@@ -42,6 +43,38 @@ def pl_values(pl: PiecewiseLinear, xs: np.ndarray) -> np.ndarray:
 def exact_values(pl: PiecewiseLinear, xs):
     fn = closs if pl.target == "closs" else loss
     return fn(xs, pl.scale)
+
+
+def grid_gap(pl: PiecewiseLinear, n: int) -> tuple[float, float]:
+    """Reference for max_gap: the largest |bound - exact| over n uniform
+    points spanning mu +- 8 sigma, extended to the outermost breakpoints.
+
+    Returns (gap, spacing).  The gap's slope is at most 1, so the exact
+    supremum exceeds this by at most half a spacing.
+    """
+    mu, sigma = pl.scale.mu, pl.scale.sigma
+    lo = min(mu - 8.0 * sigma, pl.breakpoints[0])
+    hi = max(mu + 8.0 * sigma, pl.breakpoints[-1])
+    xs = np.linspace(lo, hi, n)
+    gap = np.abs(pl_values(pl, xs) - exact_values(pl, xs))
+    return float(np.max(gap)), float(xs[1] - xs[0])
+
+
+@cache
+def solved(n: int):
+    return solve_minimax(n)
+
+
+def lifted(pl: PiecewiseLinear, amount: float) -> PiecewiseLinear:
+    """pl with every standard-scale intercept raised by amount."""
+    return PiecewiseLinear(
+        std_breakpoints=pl.std_breakpoints,
+        std_slopes=pl.std_slopes,
+        std_intercepts=tuple(c + amount for c in pl.std_intercepts),
+        kind=pl.kind,
+        target=pl.target,
+        scale=pl.scale,
+    )
 
 
 class TestLowerBound:
@@ -244,21 +277,10 @@ class TestEvaluateAndMaxGap:
         peaks = (-1.43535, -0.415223, 0.415223, 1.43535)
         assert min(abs(x - v) for v in peaks) <= 1e-4
 
-    def test_max_gap_grid_floor(self):
-        with pytest.raises(InvalidParameterError):
-            max_gap(build_lower(solve_minimax(2)), 99)
-
     def test_violation_detected(self):
         good = build_lower(solve_minimax(3))
         # push the chain upward so it crosses the exact function
-        bad = PiecewiseLinear(
-            std_breakpoints=good.std_breakpoints,
-            std_slopes=good.std_slopes,
-            std_intercepts=tuple(c + 1e-3 for c in good.std_intercepts),
-            kind=good.kind,
-            target=good.target,
-            scale=good.scale,
-        )
+        bad = lifted(good, 1e-3)
         with pytest.raises(BoundViolationError):
             max_gap(bad, 10_000)
 
@@ -268,6 +290,79 @@ class TestEvaluateAndMaxGap:
         for scale in SCALES[1:]:
             g, _ = max_gap(build_lower(p, scale), 100_000)
             assert g == approx(scale.sigma * g_std, rel=1e-8)
+
+
+class TestExactCertificate:
+    """max_gap evaluates the gap at its closed-form extremes."""
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 100, 1000, 10000])
+    def test_equals_sigma_times_max_error(self, n):
+        p = solved(n)
+        for sigma in (0.01, 1.0, 5.0):
+            for target in ("closs", "loss"):
+                report = build_report(p, NormalParams(0.7, sigma), target)
+                for pl in (report.lower, report.upper):
+                    gap, _ = max_gap(pl)
+                    assert abs(gap - sigma * p.max_error) <= 4e-15 * sigma
+
+    @pytest.mark.parametrize("sigma", [0.01, 1.0])
+    def test_rejects_lower_bound_lifted_by_twice_its_error(self, sigma):
+        p = solved(10000)
+        bad = lifted(build_lower(p, NormalParams(0.0, sigma)), 2.0 * p.max_error)
+        with pytest.raises(BoundViolationError):
+            max_gap(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    @pytest.mark.parametrize("scale", SCALES, ids=("std", "wide", "narrow"))
+    @pytest.mark.parametrize("target", ("closs", "loss"))
+    def test_location_attains_the_gap(self, n, scale, target):
+        report = build_report(solved(n), scale, target)
+        chord = build_upper_chord(report.lower.breakpoints, scale, target)
+        mu, sigma = scale.mu, scale.sigma
+        for pl in (report.lower, report.upper, chord):
+            gap, x = max_gap(pl)
+            if math.isinf(x):
+                # the limit is reached exactly once the exact function saturates
+                x = mu + math.copysign(40.0 * sigma, x)
+            assert abs(evaluate(pl, x) - exact_values(pl, x)) == approx(
+                gap, rel=1e-12, abs=1e-13 * (abs(mu) + sigma))
+
+    def test_single_region_upper_peaks_at_infinity(self):
+        p = solved(1)
+        gap, x = max_gap(build_upper_shift(p))
+        assert math.isinf(x)
+        assert gap == p.max_error
+
+    def test_n_grid_is_ignored(self):
+        pl = build_lower(solved(5))
+        assert max_gap(pl, 99) == max_gap(pl, None) == max_gap(pl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("lower", "shift", "chord")),
+    n=st.integers(min_value=1, max_value=12),
+    nodes=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1,
+                   max_size=8, unique=True),
+    mu=st.floats(min_value=-10.0, max_value=10.0),
+    sigma=st.floats(min_value=0.1, max_value=10.0),
+    target=st.sampled_from(("closs", "loss")),
+)
+def test_exact_gap_agrees_with_grid_reference(kind, n, nodes, mu, sigma, target):
+    scale = NormalParams(mu, sigma)
+    if kind == "chord":
+        nodes = sorted(nodes)
+        assume(all(b - a > 1e-3 for a, b in zip(nodes, nodes[1:])))
+        pl = build_upper_chord([mu + sigma * t for t in nodes], scale, target)
+    elif kind == "lower":
+        pl = build_lower(solved(n), scale, target)
+    else:
+        pl = build_upper_shift(solved(n), scale, target)
+    gap, _ = max_gap(pl)
+    grid, spacing = grid_gap(pl, 20_001)
+    rounding = 1e-13 * (abs(mu) + sigma)
+    assert grid <= gap + rounding
+    assert gap <= grid + spacing / 2 + rounding
 
 
 class TestSandwich:
@@ -353,6 +448,19 @@ class TestPiecewiseLinearValidation:
                 target="closs",
                 scale=STANDARD,
             )
+
+    def test_scale_must_be_normal_params(self):
+        with pytest.raises(InvalidParameterError, match="NormalParams"):
+            PiecewiseLinear((0.0,), (0.0, 1.0), (0.0, 0.0), "lower", "closs", (0.0, 1.0))
+
+    def test_overflowing_domain_view_rejected(self):
+        with pytest.raises(InvalidParameterError, match="intercepts must be finite"):
+            build_report(solve_minimax(4), NormalParams(1e308, 1e308))
+
+    def test_non_finite_slope_rejected(self):
+        with pytest.raises(InvalidParameterError, match="intercepts must be finite"):
+            PiecewiseLinear((-1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.1, 0.0),
+                            "upper", "closs", STANDARD)
 
     def test_unknown_kind_and_target(self):
         with pytest.raises(InvalidParameterError):

@@ -10,6 +10,7 @@ from losslin import (
     NormalParams,
     build_lower,
     build_report,
+    closs_std,
     max_gap,
     parameter_table,
     plot_data,
@@ -270,12 +271,37 @@ class TestOptionChecks:
         (("bounds", "--segments", "3", "--n-points", "1"),
          f"n-points must lie in 2..{_MAX_PLOT_POINTS}"),
         (("bounds", "--segments", "3", "--mu", "nan"), "mu and sigma must be finite"),
+        (("eval", "--x", "-inf"), "loss functions require finite arguments"),
+        (("table", "--tol", "-1e-9"), "tol must be a positive finite number"),
     ])
     def test_rejected_before_solving(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
         assert rc == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestNegativeValues:
+    """Negative numbers in exponent form are values, not option names."""
+
+    def test_eval_x(self, capsys):
+        rc, out, err = run(capsys, "eval", "--x", "-1e-3")
+        assert (rc, err) == (0, "")
+        assert out == f"{closs_std(-1e-3):.12f}\n"
+
+    def test_bounds_mu(self, capsys):
+        rc, out, err = run(capsys, "bounds", "--segments", "5", "--mu", "-1e-3")
+        assert (rc, err) == (0, "")
+        assert out == to_json(build_report(solve_minimax(4), NormalParams(-1e-3, 1.0)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "lp"])
+def test_overflowing_scale_fails_loudly(capsys, fmt):
+    rc, out, err = run(capsys, "bounds", "--segments", "5", "--mu", "1e308",
+                       "--sigma", "1e308", "--format", fmt)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: domain-scale breakpoints and intercepts must be finite")
 
 
 def test_module_entry_point():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
-from losslin import DomainError, StdNormalEval, cdf, inv_cdf, phi
+from losslin import DomainError, cdf, inv_cdf, phi
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -148,12 +148,3 @@ def test_round_trip_property(x):
 @given(st.floats(min_value=-30.0, max_value=30.0))
 def test_symmetry_property(x):
     assert cdf(x) + cdf(-x) == approx(1.0, abs=1e-14)
-
-
-def test_std_normal_eval_invariants():
-    ev = StdNormalEval.at(1.7)
-    assert ev.x == 1.7
-    assert ev.pdf == phi(1.7)
-    assert ev.cdf == cdf(1.7)
-    assert ev.pdf >= 0.0
-    assert 0.0 <= ev.cdf <= 1.0

@@ -12,7 +12,6 @@ from losslin import (
     InvalidParameterError,
     Partition,
     SolverError,
-    breakpoint_error,
     breakpoint_errors,
     cdf,
     inv_cdf,
@@ -62,12 +61,12 @@ class TestDegenerateCases:
 class TestBreakpointErrors:
     def test_single_region_error(self):
         p = solve_minimax(1)
-        assert breakpoint_error(1, p) == approx(0.398942, abs=1e-6)
+        assert breakpoint_errors(p).values[0] == approx(0.398942, abs=1e-6)
 
     def test_four_regions_all_equal(self):
         p = solve_minimax(4)
         for i in range(1, 5):
-            assert breakpoint_error(i, p) == approx(0.0339052, abs=1e-6)
+            assert breakpoint_errors(p).values[i - 1] == approx(0.0339052, abs=1e-6)
 
     def test_skewed_partition_unequal(self):
         p = Partition.from_boundaries((-2.0, 0.0, 2.0))
@@ -88,14 +87,7 @@ class TestBreakpointErrors:
             m = p.cond_means[i - 1]
             seg = m if math.isinf(b) else cdf(b) * m + phi(b)
             oracle = closs_generic(m, dist, 1e-10) - seg
-            assert breakpoint_error(i, p) == approx(oracle, abs=1e-8)
-
-    def test_index_out_of_range(self):
-        p = solve_minimax(2)
-        with pytest.raises(IndexError):
-            breakpoint_error(0, p)
-        with pytest.raises(IndexError):
-            breakpoint_error(3, p)
+            assert breakpoint_errors(p).values[i - 1] == approx(oracle, abs=1e-8)
 
 
 class TestSolvedPartitions:
@@ -265,7 +257,6 @@ class TestOnePass:
         p = solve_minimax(6)
         del region_stats_calls[:]
         values = breakpoint_errors(p).values
-        assert breakpoint_error(3, p) == values[2]
         assert region_stats_calls == []
         _, _, e = partition_mod._region_stats(np.asarray(p.upper_limits))
         assert values == tuple(e.tolist())
