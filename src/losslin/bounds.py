@@ -125,10 +125,7 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
         raise DomainError("evaluate requires finite x")
     mu, sigma = pl.scale.mu, pl.scale.sigma
     idx = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
-    # the active segment's domain-scale slope and intercept, computed as in
-    # the slopes/intercepts properties but without building whole tuples
-    s = pl.std_slopes[idx]
-    return s * x + (sigma * pl.std_intercepts[idx] - s * mu)
+    return pl.std_slopes[idx] * x + pl._intercepts[idx]
 
 
 def _shear(slopes: tuple[float, ...], target: str) -> tuple[float, ...]:

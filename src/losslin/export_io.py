@@ -258,16 +258,6 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     return "\n".join(out) + "\n"
 
 
-def _grid(pl: PiecewiseLinear, n: int) -> np.ndarray:
-    mu, sigma = pl.scale.mu, pl.scale.sigma
-    lo, hi = mu - 8.0 * sigma, mu + 8.0 * sigma
-    bp = pl.breakpoints
-    if bp:
-        lo = min(lo, bp[0])
-        hi = max(hi, bp[-1])
-    return np.linspace(lo, hi, n)
-
-
 def _evaluate_array(pl: PiecewiseLinear, xs: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(np.asarray(pl.breakpoints), xs, side="right")
     s = np.asarray(pl.slopes)[idx]
@@ -283,13 +273,20 @@ def plot_data(report: BoundReport, n_points: int) -> str:
     """CSV of exact/lower/upper values and signed gaps on the standard grid.
 
     The grid spans mu +- 8 sigma, extended to the outermost breakpoints
-    of either bound.
+    of either bound; a grid whose width overflows is rejected.
     """
     if not isinstance(n_points, int) or n_points < 2:
         raise InvalidParameterError("n_points must be an integer >= 2")
     lower, upper = report.lower, report.upper
-    xs = np.union1d(_grid(lower, n_points), _grid(upper, 2))
-    xs = np.linspace(xs[0], xs[-1], n_points)
+    ends = []
+    for pl in (lower, upper):
+        mu, sigma = pl.scale.mu, pl.scale.sigma
+        ends += (mu - 8.0 * sigma, mu + 8.0 * sigma, *pl.breakpoints[:1], *pl.breakpoints[-1:])
+    start, stop = min(ends), max(ends)
+    if not math.isfinite(stop - start):
+        raise InvalidParameterError(f"plot grid width is not finite"
+                                    f" (mu={lower.scale.mu!r}, sigma={lower.scale.sigma!r})")
+    xs = np.linspace(start, stop, n_points)
     exact = np.asarray(_exact(lower, xs), dtype=float)
     lo = _evaluate_array(lower, xs)
     up = _evaluate_array(upper, xs)

@@ -64,8 +64,8 @@ def _region_stats(upper: np.ndarray):
     line search can reject bad steps instead of crashing.
     """
     lower = np.concatenate(([-np.inf], upper[:-1]))
-    big_phi_hi = gaussian._cdf_unchecked(upper)
-    big_phi_lo = gaussian._cdf_unchecked(lower)
+    big_phi_hi = gaussian.cdf(upper)
+    big_phi_lo = gaussian.cdf(lower)
     small_phi_hi = _phi_ext(upper)
     small_phi_lo = _phi_ext(lower)
     p = big_phi_hi - big_phi_lo
@@ -82,28 +82,26 @@ def _region_stats(upper: np.ndarray):
 
 @dataclass(frozen=True)
 class Partition:
-    """N adjacent regions of the standard normal support.
+    """N adjacent regions of the standard normal support, given by their boundaries.
 
-    upper_limits are b_1 < ... < b_N with b_N = +inf; masses and
-    cond_means follow the formulas in the module docstring; max_error is
-    the largest breakpoint error.  Construction validates internal
-    consistency against the region statistics of upper_limits, so
-    instances can be trusted downstream, and keeps the breakpoint errors
-    of that computation for breakpoint_errors.
+    upper_limits are b_1 < ... < b_N with b_N = +inf, and they are the only
+    constructor argument.  Construction validates them and derives the rest
+    from one pass of region statistics: masses and cond_means follow the
+    formulas in the module docstring, max_error is the largest breakpoint
+    error, and the breakpoint errors themselves are kept for
+    breakpoint_errors.  Instances can therefore be trusted downstream.
     """
 
     upper_limits: tuple[float, ...]
-    masses: tuple[float, ...]
-    cond_means: tuple[float, ...]
-    max_error: float
+    masses: tuple[float, ...] = field(init=False)
+    cond_means: tuple[float, ...] = field(init=False)
+    max_error: float = field(init=False)
     _errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.upper_limits)
         if n < 1:
             raise InvalidParameterError("a partition needs at least one region")
-        if len(self.masses) != n or len(self.cond_means) != n:
-            raise InvalidParameterError("field lengths disagree")
         b = np.asarray(self.upper_limits, dtype=float)
         if not math.isinf(b[-1]) or b[-1] < 0:
             raise InvalidParameterError("the last upper limit must be +inf")
@@ -111,14 +109,11 @@ class Partition:
             raise InvalidParameterError("upper limits must be finite and strictly increasing")
 
         p, m, e = _region_stats(b)
-        if np.any(~(p > 0.0)):
-            raise InvalidParameterError("every region must carry positive mass")
+        # a region without positive mass has m = e = NaN
+        if not np.all(np.isfinite(e)):
+            raise InvalidParameterError("boundaries produce an empty or degenerate region")
         if abs(p.sum() - 1.0) > 1e-12:
             raise InvalidParameterError("region masses must sum to one")
-        if np.max(np.abs(np.asarray(self.masses) - p)) > 1e-12:
-            raise InvalidParameterError("stored masses disagree with the boundaries")
-        if np.max(np.abs(np.asarray(self.cond_means) - m)) > 1e-10:
-            raise InvalidParameterError("stored conditional means disagree with the boundaries")
         if np.any(np.diff(m) <= 0):
             raise InvalidParameterError("conditional means must be strictly increasing")
         lower = np.concatenate(([-np.inf], b[:-1]))
@@ -126,8 +121,10 @@ class Partition:
             raise InvalidParameterError("each conditional mean must lie inside its region")
         if abs(float(np.dot(p, m))) > 1e-10:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
-        if not (self.max_error >= 0.0) or abs(self.max_error - float(np.max(e))) > 1e-9:
-            raise InvalidParameterError("max_error disagrees with the breakpoint errors")
+        object.__setattr__(self, "upper_limits", tuple(b.tolist()))
+        object.__setattr__(self, "masses", tuple(p.tolist()))
+        object.__setattr__(self, "cond_means", tuple(m.tolist()))
+        object.__setattr__(self, "max_error", float(np.max(e)))
         object.__setattr__(self, "_errors", tuple(e.tolist()))
 
     @property
@@ -140,18 +137,11 @@ class Partition:
 
     @classmethod
     def from_boundaries(cls, interior) -> "Partition":
-        """Build a partition from its finite interior boundaries (may be empty)."""
-        interior = tuple(float(v) for v in interior)
-        b = np.array(interior + (np.inf,))
-        p, m, e = _region_stats(b)
-        if np.any(~np.isfinite(e)):
-            raise InvalidParameterError("boundaries produce an empty or degenerate region")
-        return cls(
-            upper_limits=tuple(b.tolist()),
-            masses=tuple(p.tolist()),
-            cond_means=tuple(m.tolist()),
-            max_error=float(np.max(e)),
-        )
+        """Build a partition from its finite interior boundaries (may be empty).
+
+        Same as Partition(upper_limits) with +inf appended as the last limit.
+        """
+        return cls(tuple(interior) + (math.inf,))
 
 
 @dataclass(frozen=True)
@@ -163,10 +153,6 @@ class BreakpointErrors:
     @property
     def spread(self) -> float:
         return max(self.values) - min(self.values)
-
-    @property
-    def max_value(self) -> float:
-        return max(self.values)
 
 
 def breakpoint_errors(partition: Partition) -> BreakpointErrors:
@@ -217,7 +203,7 @@ def _reduced_jacobian(upper: np.ndarray, p: np.ndarray, m: np.ndarray, n_regions
     """
     rows = (n_regions + 1) // 2
     b, p, m = upper[:rows], p[:rows], m[:rows]
-    d_phi = gaussian._cdf_unchecked(m) - gaussian._cdf_unchecked(b)
+    d_phi = gaussian.cdf(m) - gaussian.cdf(b)
     d_upper = (d_phi / p + 1.0) * gaussian.phi(b) * (b - m)
     a = b[:-1]
     d_lower = np.concatenate(([0.0], d_phi[1:] * gaussian.phi(a) * (m[1:] - a) / p[1:]))

@@ -304,6 +304,17 @@ def test_overflowing_scale_fails_loudly(capsys, fmt):
     assert err.startswith("error: domain-scale breakpoints and intercepts must be finite")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", ["1e308", "1.2e307"])
+def test_overflowing_plot_grid_fails_loudly(capsys, sigma):
+    # at 1.2e307 only the grid width overflows, not mu +- 8 sigma
+    rc, out, err = run(capsys, "bounds", "--segments", "5", "--sigma", sigma,
+                       "--format", "plot", "--n-points", "3")
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: plot grid width is not finite (mu=0.0, sigma={float(sigma)!r})\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "losslin.cli", "eval", "--x", "0"],

@@ -123,12 +123,14 @@ class TestJson:
             from_json(text)
 
 
-# The export bytes of a report whose every field is a literal (the values
-# of build_report(solve_minimax(2), NormalParams(-12.3, 0.37), "loss")), so
-# the expected text does not depend on the platform's exp or erfc.  Both
-# strings were recorded with the json.dumps-based renderer that _render
-# replaced (kept below as _reference_render).  "@V@" stands for the
-# package version.
+# The export bytes of a report whose every bound field is a literal (the
+# values of build_report(solve_minimax(2), NormalParams(-12.3, 0.37), "loss")),
+# so the bound blocks do not depend on the platform's exp or erfc.  The
+# partition block is derived from the boundary 0, so it depends on exp and
+# erfc at +-sqrt(2/pi) only, and _literal_report checks it against the
+# literals first.  Both strings were recorded with the json.dumps-based
+# renderer that _render replaced (kept below as _reference_render).  "@V@"
+# stands for the package version.
 _LITERAL_JSON = (
     '{"metadata": {"tool": "losslin", "version": "@V@", "segment_count": 3, '
     '"target": "loss", "kind": "lower_upper_pair", '
@@ -175,8 +177,8 @@ _LITERAL_LP = (
 def _literal_report():
     m, e = 0.7978845608028654, 0.12065604967149612
     scale = NormalParams(-12.3, 0.37)
-    part = Partition(upper_limits=(0.0, math.inf), masses=(0.5, 0.5),
-                     cond_means=(-m, m), max_error=e)
+    part = Partition.from_boundaries((0.0,))
+    assert (part.masses, part.cond_means, part.max_error) == ((0.5, 0.5), (-m, m), e)
     slopes = (-1.0, -0.5, 0.0)
     lower = PiecewiseLinear((-m, m), slopes, (0.0, 0.3989422804014327, 0.0),
                             "lower", "loss", scale)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -241,14 +242,14 @@ class TestNewtonSystem:
 
 
 class TestOnePass:
-    """Construction certifies a partition against fresh region statistics;
-    their breakpoint errors are then reused."""
+    """Construction derives and certifies a partition's statistics from one
+    pass over its boundaries; the breakpoint errors are then reused."""
 
     def test_direct_construction_checks_a_fresh_computation(self, region_stats_calls):
         p = Partition.from_boundaries((-1.0, 0.0, 1.0, 2.5))
+        assert region_stats_calls == [5]
         del region_stats_calls[:]
-        q = Partition(upper_limits=p.upper_limits, masses=p.masses,
-                      cond_means=p.cond_means, max_error=p.max_error)
+        q = Partition(p.upper_limits)
         assert region_stats_calls == [5]
         assert q == p
         assert breakpoint_errors(q).values == breakpoint_errors(p).values
@@ -261,17 +262,16 @@ class TestOnePass:
         _, _, e = partition_mod._region_stats(np.asarray(p.upper_limits))
         assert values == tuple(e.tolist())
 
-    def test_solve_minimax_1000_makes_12_stats_calls(self, region_stats_calls):
+    def test_solve_minimax_1000_makes_11_stats_calls(self, region_stats_calls):
         solve_minimax(1000)
-        assert len(region_stats_calls) == 12
+        assert len(region_stats_calls) == 11
 
     def test_errors_field_stays_out_of_init_and_repr(self):
         p = solve_minimax(3)
         assert "errors" not in repr(p)
+        assert [f.name for f in dataclasses.fields(Partition) if f.init] == ["upper_limits"]
         with pytest.raises(TypeError):
-            Partition(upper_limits=p.upper_limits, masses=p.masses,
-                      cond_means=p.cond_means, max_error=p.max_error,
-                      _errors=breakpoint_errors(p).values)
+            Partition(p.upper_limits, _errors=breakpoint_errors(p).values)
 
 
 class TestParameterTable:
@@ -297,25 +297,32 @@ class TestPartitionValidation:
         with pytest.raises(InvalidParameterError):
             Partition.from_boundaries((1.0, -1.0))
 
+    # masses, conditional means and max_error are derived, never passed in
     def test_tampered_masses_rejected(self):
         p = solve_minimax(3)
-        with pytest.raises(InvalidParameterError):
-            Partition(
-                upper_limits=p.upper_limits,
-                masses=tuple(v + 1e-6 for v in p.masses),
-                cond_means=p.cond_means,
-                max_error=p.max_error,
-            )
+        with pytest.raises(TypeError):
+            Partition(p.upper_limits, masses=tuple(v + 1e-6 for v in p.masses))
+        with pytest.raises(TypeError):
+            Partition(p.upper_limits, cond_means=p.cond_means)
 
     def test_tampered_max_error_rejected(self):
         p = solve_minimax(3)
-        with pytest.raises(InvalidParameterError):
-            Partition(
-                upper_limits=p.upper_limits,
-                masses=p.masses,
-                cond_means=p.cond_means,
-                max_error=p.max_error + 1e-3,
-            )
+        with pytest.raises(TypeError):
+            Partition(p.upper_limits, max_error=p.max_error + 1e-3)
+
+    @pytest.mark.parametrize("interior", [(-40.0, -39.0), (39.0, 40.0), (0.0, 1e-300)])
+    def test_degenerate_region_rejected(self, interior):
+        with pytest.raises(InvalidParameterError,
+                           match="^boundaries produce an empty or degenerate region$"):
+            Partition.from_boundaries(interior)
+
+    @pytest.mark.parametrize("convert", [list, np.array], ids=["list", "ndarray"])
+    def test_upper_limits_are_normalised(self, convert):
+        p = Partition.from_boundaries((-1.0, 0.5))
+        q = Partition(convert([-1.0, 0.5, math.inf]))
+        assert q == p and hash(q) == hash(p)
+        assert type(q.upper_limits) is tuple
+        assert all(type(b) is float for b in q.upper_limits)
 
     def test_lower_limits_view(self):
         p = solve_minimax(3)
