@@ -21,7 +21,6 @@ from .bounds import (
     build_upper_shift,
     evaluate,
     max_gap,
-    upper_error_location,
 )
 from .errors import (
     BoundViolationError,
@@ -97,5 +96,4 @@ __all__ = [
     "to_csv_table",
     "to_json",
     "to_lp_constraints",
-    "upper_error_location",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "build_upper_shift",
     "build_upper_chord",
     "build_report",
-    "upper_error_location",
     "evaluate",
     "max_gap",
 ]
@@ -46,9 +45,10 @@ class PiecewiseLinear:
     """An ordered chain of linear segments, continuous at its breakpoints.
 
     std_* fields hold the canonical standard-scale data (one more segment
-    than breakpoints; outer segments unbounded).  The breakpoints, slopes
-    and intercepts properties expose the domain-scale view, which
-    construction computes once and rejects unless every value is finite.
+    than breakpoints; outer segments unbounded), stored as tuples of Python
+    floats whatever sequence was passed.  The breakpoints, slopes and
+    intercepts properties expose the domain-scale view, which construction
+    computes once and rejects unless every value is finite.
     """
 
     std_breakpoints: tuple[float, ...]
@@ -86,6 +86,9 @@ class PiecewiseLinear:
             raise InvalidParameterError("lower-bound slopes must be strictly increasing")
         if self.kind == "upper" and np.any(ds < 0):
             raise InvalidParameterError("upper-bound slopes must be nondecreasing")
+        object.__setattr__(self, "std_breakpoints", tuple(bp.tolist()))
+        object.__setattr__(self, "std_slopes", tuple(s.tolist()))
+        object.__setattr__(self, "std_intercepts", tuple(c.tolist()))
         mu, sigma = self.scale.mu, self.scale.sigma
         breakpoints = tuple(sigma * t + mu for t in self.std_breakpoints)
         intercepts = tuple(sigma * c - s * mu
@@ -109,7 +112,7 @@ class PiecewiseLinear:
     def slopes(self) -> tuple[float, ...]:
         # rescaling x -> (x - mu)/sigma and multiplying values by sigma
         # leaves segment slopes unchanged
-        return tuple(self.std_slopes)
+        return self.std_slopes
 
     @property
     def intercepts(self) -> tuple[float, ...]:
@@ -166,23 +169,7 @@ def build_upper_shift(partition: Partition, scale: NormalParams = STANDARD,
     Valid only for equal-error partitions: the lifted chain then touches
     the exact function at every conditional mean.
     """
-    return _shift(build_lower(partition, scale, target), partition)
-
-
-def _shift(lower: PiecewiseLinear, partition: Partition) -> PiecewiseLinear:
-    """lower, built from partition, lifted by the partition's maximum error."""
-    spread = breakpoint_errors(partition).spread
-    if spread > _EQUAL_ERROR_SPREAD:
-        raise InvalidParameterError(
-            f"shift construction needs an equal-error partition (spread {spread:.3e})")
-    return PiecewiseLinear(
-        std_breakpoints=lower.std_breakpoints,
-        std_slopes=lower.std_slopes,
-        std_intercepts=tuple(c + partition.max_error for c in lower.std_intercepts),
-        kind="upper",
-        target=lower.target,
-        scale=lower.scale,
-    )
+    return BoundReport(partition, scale, target).upper
 
 
 def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
@@ -219,46 +206,63 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
     )
 
 
-def upper_error_location(segment_slope: float) -> float:
-    """Standard-scale point where a chord segment's gap to the exact
-    function is largest: the tangency abscissa of the matching slope."""
-    if not 0.0 < segment_slope < 1.0:
-        raise DomainError("segment slope must lie strictly between 0 and 1")
-    return gaussian.inv_cdf(segment_slope)
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """A matched lower/upper bound pair with its error certificate."""
+    """A matched lower/upper bound pair with its error certificate.
 
-    lower: PiecewiseLinear
-    upper: PiecewiseLinear
-    max_error: float
-    lower_error_locations: tuple[float, ...]
-    upper_error_locations: tuple[float, ...]
+    A report is its partition, scale and target, the only constructor
+    arguments.  Construction rejects a partition whose breakpoint errors
+    spread by more than 1e-6, then derives the tangent lower bound
+    (build_lower) and the upper bound, that chain with every standard
+    intercept lifted by the partition's maximum error.  The lower bound's
+    error peaks at its breakpoints, the rescaled conditional means; the
+    upper bound's at upper_error_locations, the rescaled region boundaries
+    and +-infinity.  Both peaks equal max_error, sigma times the
+    partition's standard error.
+    """
+
     partition: Partition
+    scale: NormalParams = STANDARD
+    target: str = "closs"
+    lower: PiecewiseLinear = field(init=False)
+    upper: PiecewiseLinear = field(init=False)
+
+    def __post_init__(self):
+        part = self.partition
+        if not isinstance(part, Partition):
+            raise InvalidParameterError("partition must be a Partition instance")
+        spread = breakpoint_errors(part).spread
+        if spread > _EQUAL_ERROR_SPREAD:
+            raise InvalidParameterError(
+                f"shift construction needs an equal-error partition (spread {spread:.3e})")
+        lower = build_lower(part, self.scale, self.target)
+        upper = PiecewiseLinear(
+            std_breakpoints=lower.std_breakpoints,
+            std_slopes=lower.std_slopes,
+            std_intercepts=tuple(c + part.max_error for c in lower.std_intercepts),
+            kind="upper",
+            target=self.target,
+            scale=self.scale,
+        )
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    @property
+    def max_error(self) -> float:
+        return self.scale.sigma * self.partition.max_error
+
+    @property
+    def upper_error_locations(self) -> tuple[float, ...]:
+        mu, sigma = self.scale.mu, self.scale.sigma
+        return ((-math.inf,)
+                + tuple(sigma * b + mu for b in self.partition.upper_limits[:-1])
+                + (math.inf,))
 
 
 def build_report(partition: Partition, scale: NormalParams = STANDARD,
                  target: str = "closs") -> BoundReport:
-    """Bundle the tangent lower bound and the shifted upper bound.
-
-    The lower bound's error peaks at the rescaled conditional means, the
-    upper bound's at the rescaled region boundaries and at +-infinity;
-    both peaks equal sigma times the partition's standard error.
-    """
-    lower = build_lower(partition, scale, target)
-    mu, sigma = scale.mu, scale.sigma
-    return BoundReport(
-        lower=lower,
-        upper=_shift(lower, partition),
-        max_error=sigma * partition.max_error,
-        lower_error_locations=tuple(sigma * m + mu for m in partition.cond_means),
-        upper_error_locations=(-math.inf,)
-        + tuple(sigma * b + mu for b in partition.upper_limits[:-1])
-        + (math.inf,),
-        partition=partition,
-    )
+    """The lower/upper bound pair of partition; same as BoundReport(partition, scale, target)."""
+    return BoundReport(partition, scale, target)
 
 
 def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:

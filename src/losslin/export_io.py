@@ -101,16 +101,15 @@ class ExportBundle:
 
     @classmethod
     def from_report(cls, report: BoundReport) -> "ExportBundle":
-        part = report.partition
-        lower = report.lower
+        part, lower, scale = report.partition, report.lower, report.scale
         metadata = {
             "tool": TOOL_NAME,
             "version": __version__,
             "segment_count": lower.n_segments,
-            "target": lower.target,
+            "target": report.target,
             "kind": "lower_upper_pair",
-            "mu": float(lower.scale.mu),
-            "sigma": float(lower.scale.sigma),
+            "mu": float(scale.mu),
+            "sigma": float(scale.sigma),
             "max_error": float(report.max_error),
         }
         partition = {
@@ -122,7 +121,7 @@ class ExportBundle:
         }
         return cls(
             metadata=metadata,
-            lower=_bound_block(lower, report.lower_error_locations),
+            lower=_bound_block(lower, lower.breakpoints),
             upper=_bound_block(report.upper, report.upper_error_locations),
             partition=partition,
         )
@@ -230,15 +229,10 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     _check_lp_name(var_L, "var_L")
     if var_x == var_L:
         raise InvalidParameterError(f"var_x and var_L must differ, both are {var_x!r}")
-    lower, upper = report.lower, report.upper
-    if lower.kind != "lower":
-        raise InvalidParameterError("report.lower must be a lower-kind bound")
-    if not upper.breakpoints:
-        raise InvalidParameterError("upper bound has no breakpoints to tabulate")
-    meta = lower.scale
+    lower, upper, scale = report.lower, report.upper, report.scale
     out = [
         f"\\ {TOOL_NAME} {__version__}: piecewise linear bounds for target"
-        f" {lower.target}, normal(mu={_lp_num(meta.mu)}, sigma={_lp_num(meta.sigma)})",
+        f" {report.target}, normal(mu={_lp_num(scale.mu)}, sigma={_lp_num(scale.sigma)})",
         f"\\ lower bound: {var_L} >= slope*{var_x} + intercept, one row per segment",
         "Subject To",
     ]
@@ -272,20 +266,17 @@ def _exact(pl: PiecewiseLinear, x):
 def plot_data(report: BoundReport, n_points: int) -> str:
     """CSV of exact/lower/upper values and signed gaps on the standard grid.
 
-    The grid spans mu +- 8 sigma, extended to the outermost breakpoints
-    of either bound; a grid whose width overflows is rejected.
+    The grid spans mu +- 8 sigma, extended to the outermost breakpoints,
+    which both bounds share; a grid whose width overflows is rejected.
     """
     if not isinstance(n_points, int) or n_points < 2:
         raise InvalidParameterError("n_points must be an integer >= 2")
     lower, upper = report.lower, report.upper
-    ends = []
-    for pl in (lower, upper):
-        mu, sigma = pl.scale.mu, pl.scale.sigma
-        ends += (mu - 8.0 * sigma, mu + 8.0 * sigma, *pl.breakpoints[:1], *pl.breakpoints[-1:])
-    start, stop = min(ends), max(ends)
+    mu, sigma = report.scale.mu, report.scale.sigma
+    start = min(mu - 8.0 * sigma, lower.breakpoints[0])
+    stop = max(mu + 8.0 * sigma, lower.breakpoints[-1])
     if not math.isfinite(stop - start):
-        raise InvalidParameterError(f"plot grid width is not finite"
-                                    f" (mu={lower.scale.mu!r}, sigma={lower.scale.sigma!r})")
+        raise InvalidParameterError(f"plot grid width is not finite (mu={mu!r}, sigma={sigma!r})")
     xs = np.linspace(start, stop, n_points)
     exact = np.asarray(_exact(lower, xs), dtype=float)
     lo = _evaluate_array(lower, xs)

@@ -49,28 +49,22 @@ _MAX_ITER = 200
 _MAX_HALVINGS = 60
 
 
-def _phi_ext(x: np.ndarray) -> np.ndarray:
-    """phi extended by its limits at +-infinity."""
-    out = np.zeros_like(x)
-    finite = np.isfinite(x)
-    out[finite] = gaussian.phi(x[finite])
-    return out
-
-
 def _region_stats(upper: np.ndarray):
     """masses, conditional means and breakpoint errors for boundaries b_1..b_N.
 
-    Tolerant of malformed boundaries (returns NaN entries) so the solver
+    b_N must be +inf, and callers reject non-finite interior boundaries
+    first (Partition and _ordered do).  Phi and phi are evaluated once per
+    interior boundary and padded with their limits at -inf and +inf.  A
+    region without positive mass gets NaN mean and error, so the solver
     line search can reject bad steps instead of crashing.
     """
-    lower = np.concatenate(([-np.inf], upper[:-1]))
-    big_phi_hi = gaussian.cdf(upper)
-    big_phi_lo = gaussian.cdf(lower)
-    small_phi_hi = _phi_ext(upper)
-    small_phi_lo = _phi_ext(lower)
-    p = big_phi_hi - big_phi_lo
+    inner = upper[:-1]
+    big_phi = np.concatenate(([0.0], gaussian.cdf(inner), [1.0]))
+    small_phi = np.concatenate(([0.0], gaussian.phi(inner), [0.0]))
+    big_phi_hi, small_phi_hi = big_phi[1:], small_phi[1:]
+    p = big_phi_hi - big_phi[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = (small_phi_lo - small_phi_hi) / p
+        m = (small_phi[:-1] - small_phi_hi) / p
     bad = ~(p > 0.0)
     if np.any(bad):
         m = np.where(bad, np.nan, m)
@@ -277,7 +271,7 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
 
     for _ in range(_MAX_ITER):
         if _full_residual_norm(e) <= tol:
-            return _finalize(neg, n_regions, e)
+            return Partition.from_boundaries(_expand_symmetric(neg, n_regions))
 
         diag, sub, mid = _reduced_jacobian(upper, p, m, n_regions)
         delta, d_eps = _newton_step(diag, sub, mid, r)
@@ -304,7 +298,7 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
             )
 
     if _full_residual_norm(e) <= tol:
-        return _finalize(neg, n_regions, e)
+        return Partition.from_boundaries(_expand_symmetric(neg, n_regions))
     raise SolverError(
         f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
         best=_expand_symmetric(neg, n_regions),
@@ -315,17 +309,6 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
 def _full_residual_norm(e: np.ndarray) -> float:
     """Norm of e_1 - e_k over all breakpoints k = 2..N."""
     return float(np.linalg.norm(e[0] - e[1:]))
-
-
-def _finalize(neg: np.ndarray, n_regions: int, e: np.ndarray) -> Partition:
-    interior = _expand_symmetric(neg, n_regions)
-    if np.any(np.diff(interior) <= 0):
-        raise SolverError(
-            f"solution for {n_regions} regions lost boundary ordering",
-            best=interior,
-            residual=_full_residual_norm(e),
-        )
-    return Partition.from_boundaries(interior)
 
 
 def parameter_table(max_segments: int, tol: float = DEFAULT_TOL) -> list[Partition]:

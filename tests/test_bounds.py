@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from bisect import bisect_right
 from functools import cache
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from losslin import (
+    BoundReport,
     BoundViolationError,
     DomainError,
     InvalidParameterError,
@@ -23,10 +25,10 @@ from losslin import (
     closs,
     closs_std,
     evaluate,
+    inv_cdf,
     loss,
     max_gap,
     solve_minimax,
-    upper_error_location,
 )
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -228,36 +230,33 @@ class TestChordUpperBound:
 
 
 class TestErrorLocation:
+    """An upper segment's gap peaks at the tangency abscissa inv_cdf(slope)."""
+
     def test_median_slope(self):
-        assert upper_error_location(0.5) == approx(0.0, abs=1e-15)
+        assert inv_cdf(0.5) == approx(0.0, abs=1e-15)
 
     def test_round_trip_with_cdf(self):
         from losslin import cdf
 
-        assert upper_error_location(cdf(0.886942)) == approx(0.886942, abs=1e-9)
+        assert inv_cdf(cdf(0.886942)) == approx(0.886942, abs=1e-9)
 
     def test_interior_peaks_of_shifted_bound(self):
         # gap of the shifted bound is largest where the lower bound was
         # tangent: at the region boundaries, recovered from the slopes
-        p = solve_minimax(4)
-        pl = build_upper_shift(p)
-        interior = [upper_error_location(s) for s in pl.slopes[1:-1]]
-        assert interior == approx(p.upper_limits[:-1], abs=1e-9)
+        scale = NormalParams(20.0, 5.0)
+        report = build_report(solve_minimax(4), scale)
+        interior = [20.0 + 5.0 * inv_cdf(s) for s in report.upper.slopes[1:-1]]
+        assert interior == approx(report.upper_error_locations[1:-1], abs=1e-9)
 
     def test_gap_is_maximal_within_each_chord_segment(self):
         pl = build_upper_chord((-1.7, -0.3, 0.9, 2.1))
         bp = pl.breakpoints
         for i, slope in enumerate(pl.slopes[1:-1], start=1):
-            peak = upper_error_location(slope)
+            peak = inv_cdf(slope)
             assert bp[i - 1] < peak < bp[i]
             peak_gap = evaluate(pl, peak) - closs_std(peak)
             for x in np.linspace(bp[i - 1], bp[i], 101):
                 assert evaluate(pl, x) - closs_std(x) <= peak_gap + 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.2])
-    def test_rejects_slopes_outside_unit_interval(self, bad):
-        with pytest.raises(DomainError):
-            upper_error_location(bad)
 
 
 class TestEvaluateAndMaxGap:
@@ -385,7 +384,7 @@ class TestBoundReport:
         p = solve_minimax(4)
         report = build_report(p, scale)
         assert report.max_error == approx(5.0 * 0.0339052, abs=1e-5)
-        assert report.lower_error_locations == approx(
+        assert report.lower.breakpoints == approx(
             tuple(20.0 + 5.0 * m for m in p.cond_means), abs=1e-12)
         assert report.upper_error_locations[0] == -math.inf
         assert report.upper_error_locations[-1] == math.inf
@@ -396,6 +395,22 @@ class TestBoundReport:
     def test_invalid_scale(self):
         with pytest.raises(InvalidParameterError):
             build_report(solve_minimax(2), scale=(0.0, 1.0))
+
+    def test_partition_scale_and_target_are_the_only_arguments(self):
+        init = [f.name for f in dataclasses.fields(BoundReport) if f.init]
+        assert init == ["partition", "scale", "target"]
+        p, scale = solve_minimax(3), NormalParams(1.0, 2.0)
+        report = BoundReport(p, scale, "loss")
+        assert report == build_report(p, scale, "loss")
+        assert BoundReport(p) == build_report(p, STANDARD, "closs")
+        for name in ("lower", "upper", "max_error"):
+            with pytest.raises(TypeError):
+                BoundReport(p, scale, "loss", **{name: getattr(report, name)})
+
+    @pytest.mark.parametrize("bad", [(0.0, math.inf), None], ids=["limits", "none"])
+    def test_rejects_a_non_partition(self, bad):
+        with pytest.raises(InvalidParameterError, match="Partition"):
+            BoundReport(bad)
 
     @pytest.mark.parametrize("target", ["closs", "loss"])
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
@@ -461,6 +476,18 @@ class TestPiecewiseLinearValidation:
         with pytest.raises(InvalidParameterError, match="intercepts must be finite"):
             PiecewiseLinear((-1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.1, 0.0),
                             "upper", "closs", STANDARD)
+
+    @pytest.mark.parametrize("seq", [list, np.array], ids=["list", "ndarray"])
+    def test_std_fields_are_normalised(self, seq):
+        args = ((-0.5, 0.5), (0.0, 0.5, 1.0), (0.0, 0.25, 0.0))
+        ref = PiecewiseLinear(*args, "lower", "closs", STANDARD)
+        pl = PiecewiseLinear(*map(seq, args), "lower", "closs", STANDARD)
+        assert pl == ref and hash(pl) == hash(ref)
+        for name in ("std_breakpoints", "std_slopes", "std_intercepts"):
+            values = getattr(pl, name)
+            assert type(values) is tuple
+            assert all(type(v) is float for v in values)
+        assert pl.slopes is pl.std_slopes
 
     def test_unknown_kind_and_target(self):
         with pytest.raises(InvalidParameterError):

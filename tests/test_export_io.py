@@ -123,14 +123,13 @@ class TestJson:
             from_json(text)
 
 
-# The export bytes of a report whose every bound field is a literal (the
-# values of build_report(solve_minimax(2), NormalParams(-12.3, 0.37), "loss")),
-# so the bound blocks do not depend on the platform's exp or erfc.  The
-# partition block is derived from the boundary 0, so it depends on exp and
-# erfc at +-sqrt(2/pi) only, and _literal_report checks it against the
-# literals first.  Both strings were recorded with the json.dumps-based
-# renderer that _render replaced (kept below as _reference_render).  "@V@"
-# stands for the package version.
+# The export bytes of the report of the boundary 0 at NormalParams(-12.3, 0.37)
+# for the loss target (the values of build_report(solve_minimax(2), ...)).
+# The report is derived from that one boundary, so it depends on exp and
+# erfc at 0 and +-sqrt(2/pi) only, and _literal_report checks every derived
+# value against literals before the export text is compared.  Both strings
+# were recorded with the json.dumps-based renderer that _render replaced
+# (kept below as _reference_render).  "@V@" stands for the package version.
 _LITERAL_JSON = (
     '{"metadata": {"tool": "losslin", "version": "@V@", "segment_count": 3, '
     '"target": "loss", "kind": "lower_upper_pair", '
@@ -179,15 +178,16 @@ def _literal_report():
     scale = NormalParams(-12.3, 0.37)
     part = Partition.from_boundaries((0.0,))
     assert (part.masses, part.cond_means, part.max_error) == ((0.5, 0.5), (-m, m), e)
+    report = BoundReport(part, scale, "loss")
     slopes = (-1.0, -0.5, 0.0)
-    lower = PiecewiseLinear((-m, m), slopes, (0.0, 0.3989422804014327, 0.0),
-                            "lower", "loss", scale)
-    upper = PiecewiseLinear((-m, m), slopes, (e, 0.5195983300729288, e),
-                            "upper", "loss", scale)
-    return BoundReport(lower=lower, upper=upper, max_error=0.04464273837845357,
-                       lower_error_locations=(-12.59521728749706, -12.00478271250294),
-                       upper_error_locations=(-math.inf, -12.3, math.inf),
-                       partition=part)
+    assert report.lower == PiecewiseLinear((-m, m), slopes, (0.0, 0.3989422804014327, 0.0),
+                                           "lower", "loss", scale)
+    assert report.upper == PiecewiseLinear((-m, m), slopes, (e, 0.5195983300729288, e),
+                                           "upper", "loss", scale)
+    assert report.max_error == 0.04464273837845357
+    assert report.lower.breakpoints == (-12.59521728749706, -12.00478271250294)
+    assert report.upper_error_locations == (-math.inf, -12.3, math.inf)
+    return report
 
 
 def test_literal_report_exports_are_pinned():

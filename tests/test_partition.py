@@ -42,6 +42,12 @@ class TestDegenerateCases:
         assert p.cond_means[1] == approx(math.sqrt(2.0 / math.pi), abs=1e-12)
         assert p.max_error == approx(0.120656, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_forms_need_no_solve(self, n):
+        # e_1 - e_2 at the exact boundary 0 is -2.8e-17, so a Newton solve
+        # to the smallest tolerance would stall on rounding
+        assert solve_minimax(n, tol=5e-324) == solve_minimax(n)
+
     def test_invalid_region_count(self):
         with pytest.raises(InvalidParameterError):
             solve_minimax(0)
