@@ -6,11 +6,18 @@ equal-error partitioning problem that makes the piecewise-linear Jensen
 lower bound minimax-optimal, constructs the matching upper bound, and
 exports distribution-independent linearisation coefficients for MILP
 embedding.
+
+Solver diagnostics go to the "losslin" stdlib logger, which has a
+NullHandler: nothing is printed unless the application configures logging.
 """
+
+import logging
 
 # the one version literal; set before the submodule imports so export_io
 # can stamp it into its output
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .bounds import (
     BoundReport,

@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import BoundReport, PiecewiseLinear, evaluate
 from .errors import InvalidParameterError
 from .loss_core import closs, loss
-from .partition import Partition
+from .partition import Partition, check_count
 
 __all__ = [
     "ExportBundle",
@@ -269,8 +269,7 @@ def plot_data(report: BoundReport, n_points: int) -> str:
     The grid spans mu +- 8 sigma, extended to the outermost breakpoints,
     which both bounds share; a grid whose width overflows is rejected.
     """
-    if not isinstance(n_points, int) or n_points < 2:
-        raise InvalidParameterError("n_points must be an integer >= 2")
+    n_points = check_count(n_points, 2, "n_points must be an integer >= 2")
     lower, upper = report.lower, report.upper
     mu, sigma = report.scale.mu, report.scale.sigma
     start = min(mu - 8.0 * sigma, lower.breakpoints[0])

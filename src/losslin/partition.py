@@ -20,11 +20,22 @@ are mirrored (with an exact zero in the middle when the interior count is
 odd).  Each e_i depends only on its own region's two boundaries and has
 closed-form partials, so the Jacobian of the residuals e_i - eps is lower
 bidiagonal plus one column of -1s, and an exact Newton step costs O(N).
+The partials reuse the Phi and phi values of the pass that computed the
+residuals, so a Newton iteration evaluates each at the boundaries once.
+
+For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
+is its width, so equal errors give h proportional to phi^(-1/2): the
+boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
+density.  Newton starts from the N(0, 2) quantiles, a few hundredths from
+the solution for every N, and takes one full polishing step after meeting
+the tolerance.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +50,12 @@ __all__ = [
     "breakpoint_errors",
     "solve_minimax",
     "parameter_table",
+    "check_count",
     "check_tol",
     "DEFAULT_TOL",
 ]
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
 
@@ -50,7 +64,8 @@ _MAX_HALVINGS = 60
 
 
 def _region_stats(upper: np.ndarray):
-    """masses, conditional means and breakpoint errors for boundaries b_1..b_N.
+    """masses, conditional means and breakpoint errors for boundaries b_1..b_N,
+    followed by Phi(b_i) and phi(b_i), which the solver's Jacobian reuses.
 
     b_N must be +inf, and callers reject non-finite interior boundaries
     first (Partition and _ordered do).  Phi and phi are evaluated once per
@@ -71,7 +86,7 @@ def _region_stats(upper: np.ndarray):
     e = np.where(np.isfinite(m),
                  closs_std(np.nan_to_num(m)) - (big_phi_hi * m + small_phi_hi),
                  np.nan)
-    return p, m, e
+    return p, m, e, big_phi_hi, small_phi_hi
 
 
 @dataclass(frozen=True)
@@ -93,16 +108,20 @@ class Partition:
     _errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.upper_limits)
-        if n < 1:
+        try:
+            b = np.asarray(self.upper_limits, dtype=float)
+        except (TypeError, ValueError):
+            b = None
+        if b is None or b.ndim != 1:
+            raise InvalidParameterError("upper limits must be a flat sequence of numbers")
+        if b.size < 1:
             raise InvalidParameterError("a partition needs at least one region")
-        b = np.asarray(self.upper_limits, dtype=float)
         if not math.isinf(b[-1]) or b[-1] < 0:
             raise InvalidParameterError("the last upper limit must be +inf")
-        if n > 1 and (not np.all(np.isfinite(b[:-1])) or np.any(np.diff(b) <= 0)):
+        if b.size > 1 and (not np.all(np.isfinite(b[:-1])) or np.any(np.diff(b) <= 0)):
             raise InvalidParameterError("upper limits must be finite and strictly increasing")
 
-        p, m, e = _region_stats(b)
+        p, m, e, _, _ = _region_stats(b)
         # a region without positive mass has m = e = NaN
         if not np.all(np.isfinite(e)):
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
@@ -135,7 +154,11 @@ class Partition:
 
         Same as Partition(upper_limits) with +inf appended as the last limit.
         """
-        return cls(tuple(interior) + (math.inf,))
+        try:
+            interior = tuple(interior)
+        except TypeError:
+            raise InvalidParameterError("interior boundaries must be a sequence of numbers") from None
+        return cls(interior + (math.inf,))
 
 
 @dataclass(frozen=True)
@@ -172,13 +195,12 @@ def _expand_symmetric(neg: np.ndarray, n_regions: int) -> np.ndarray:
 
 
 def _symmetric_stats(neg: np.ndarray, n_regions: int):
-    """Upper limits b_1..b_N of the symmetric point and their region statistics."""
+    """Upper limits b_1..b_N of the symmetric point, then its _region_stats."""
     upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
-    p, m, e = _region_stats(upper)
-    return upper, p, m, e
+    return (upper,) + _region_stats(upper)
 
 
-def _reduced_jacobian(upper: np.ndarray, p: np.ndarray, m: np.ndarray, n_regions: int):
+def _reduced_jacobian(stats, n_regions: int):
     """Exact Jacobian of e_1..e_h, h = ceil(N/2), in the negative boundaries.
 
     Each e_i depends only on its own region's boundaries.  With
@@ -189,18 +211,22 @@ def _reduced_jacobian(upper: np.ndarray, p: np.ndarray, m: np.ndarray, n_regions
         de_i/db_i     = (dPhi / p_i + 1) phi(b_i) (b_i - m_i)
         de_i/db_{i-1} = dPhi phi(b_{i-1}) (m_i - b_{i-1}) / p_i
 
+    stats is _symmetric_stats at the point, whose Phi(b_i) and phi(b_i) are
+    reused, so only Phi(m_i) is evaluated here.
+
     Returns (diag, sub, mid) as read by _newton_step: diag[i] = de_i/db_i
     and sub[i] = de_i/db_{i-1} for the rows i < h - 1 (sub[0] = 0, as the
     first region has no finite lower boundary).  The middle region's upper
     limit mirrors the last unknown when N is odd (b_h = -b_{h-1}, so
     mid = de/da - de/db) and is the fixed zero when N is even (mid = de/da).
     """
+    upper, p, m, _, big_phi, small_phi = stats
     rows = (n_regions + 1) // 2
-    b, p, m = upper[:rows], p[:rows], m[:rows]
-    d_phi = gaussian.cdf(m) - gaussian.cdf(b)
-    d_upper = (d_phi / p + 1.0) * gaussian.phi(b) * (b - m)
+    b, p, m, phi_b = upper[:rows], p[:rows], m[:rows], small_phi[:rows]
+    d_phi = gaussian.cdf(m) - big_phi[:rows]
+    d_upper = (d_phi / p + 1.0) * phi_b * (b - m)
     a = b[:-1]
-    d_lower = np.concatenate(([0.0], d_phi[1:] * gaussian.phi(a) * (m[1:] - a) / p[1:]))
+    d_lower = np.concatenate(([0.0], d_phi[1:] * phi_b[:-1] * (m[1:] - a) / p[1:]))
     mid = d_lower[-1] - d_upper[-1] if n_regions % 2 else d_lower[-1]
     return d_upper[:-1], d_lower[:-1], float(mid)
 
@@ -236,6 +262,40 @@ def check_tol(tol: float) -> float:
     return tol
 
 
+def check_count(value, minimum: int, message: str) -> int:
+    """Return value as an int if it is an integer >= minimum, else raise message.
+
+    Any integer type passes (operator.index), numpy integers included; bool
+    does not, as True is no count.
+    """
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= minimum:
+                return count
+    raise InvalidParameterError(message)
+
+
+def _trial(neg, eps: float, delta, d_eps: float, step: float, n_regions: int):
+    """(neg, eps, stats, r, norm2) a step along (delta, d_eps), where stats
+    is _symmetric_stats and r the reduced residuals; None if the step leaves
+    the ordered boundaries."""
+    neg = neg + step * delta
+    if not _ordered(neg, n_regions):
+        return None
+    stats = _symmetric_stats(neg, n_regions)
+    eps = eps + step * d_eps
+    r = stats[3][:(n_regions + 1) // 2] - eps
+    return neg, eps, stats, r, float(r @ r)
+
+
+_SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d halvings=%d passes=%d "
+                 "polish_kept=%s residual=%.3g")
+
+
 def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     """Solve the equal-error system for an N-region minimax partition.
 
@@ -247,63 +307,77 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     exact Jacobian is lower bidiagonal plus a column of -1s, so each Newton
     step costs O(N).  A monotone line search rejects non-finite or
     unordered trial points; iteration stops once the residuals e_1 - e_k
-    over all breakpoints have norm <= tol.  N = 1 and N = 2 are returned
-    analytically.
+    over all breakpoints have norm <= tol.  One more full Newton step then
+    polishes the result and is kept only if it lowers the residual.  N = 1
+    and N = 2 are returned analytically.
+
+    Each call logs one DEBUG record on the losslin.partition logger: N,
+    Newton iterations, line-search halvings, region-statistics passes
+    (including the one that certifies the result), whether the polishing
+    step was kept, and the final residual norm over all breakpoints.
     """
-    if not isinstance(n_regions, int) or n_regions < 1:
-        raise InvalidParameterError(f"n_regions must be a positive integer, got {n_regions!r}")
+    n_regions = check_count(n_regions, 1,
+                            f"n_regions must be a positive integer, got {n_regions!r}")
     check_tol(tol)
 
-    if n_regions == 1:
-        return Partition.from_boundaries(())
-    if n_regions == 2:
-        return Partition.from_boundaries((0.0,))
+    if n_regions <= 2:
+        part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
+        _log.debug(_SOLVE_RECORD, n_regions, 0, 0, 1, False,
+                   _full_residual_norm(np.asarray(part._errors)))
+        return part
 
     rows = (n_regions + 1) // 2
-    # equal-probability quantiles start inside the basin of attraction
-    neg = gaussian.inv_cdf(np.arange(1, rows) / n_regions)
+    # equal errors spread the boundaries like N(0, 2) quantiles (see the
+    # module docstring), which start within a few hundredths of the solution
+    neg = math.sqrt(2.0) * gaussian.inv_cdf(np.arange(1, rows) / n_regions)
     neg = np.atleast_1d(np.asarray(neg, dtype=float))
 
-    upper, p, m, e = _symmetric_stats(neg, n_regions)
-    eps = float(np.mean(e[:rows]))
-    r = e[:rows] - eps
+    stats = _symmetric_stats(neg, n_regions)
+    eps = float(np.mean(stats[3][:rows]))
+    r = stats[3][:rows] - eps
     norm2 = float(r @ r)
+    iterations = halvings = 0
+    passes = 1
 
-    for _ in range(_MAX_ITER):
-        if _full_residual_norm(e) <= tol:
-            return Partition.from_boundaries(_expand_symmetric(neg, n_regions))
-
-        diag, sub, mid = _reduced_jacobian(upper, p, m, n_regions)
-        delta, d_eps = _newton_step(diag, sub, mid, r)
-
+    while _full_residual_norm(stats[3]) > tol:
+        if iterations == _MAX_ITER:
+            raise SolverError(
+                f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
+                best=_expand_symmetric(neg, n_regions),
+                residual=_full_residual_norm(stats[3]),
+            )
+        iterations += 1
+        delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
         step = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = neg + step * delta
-            if _ordered(trial, n_regions):
-                t_upper, t_p, t_m, t_e = _symmetric_stats(trial, n_regions)
-                t_eps = eps + step * d_eps
-                r_trial = t_e[:rows] - t_eps
-                trial_norm2 = float(r_trial @ r_trial)
-                if math.isfinite(trial_norm2) and trial_norm2 < norm2:
-                    neg, eps, r, norm2 = trial, t_eps, r_trial, trial_norm2
-                    upper, p, m, e = t_upper, t_p, t_m, t_e
-                    break
+            point = _trial(neg, eps, delta, d_eps, step, n_regions)
+            passes += point is not None
+            # a NaN or inf norm compares False, so unusable points are rejected
+            if point is not None and point[4] < norm2:
+                neg, eps, stats, r, norm2 = point
+                break
             step *= 0.5
+            halvings += 1
         else:
             # the search is monotone, so the current point is the best seen
             raise SolverError(
                 f"line search stalled for {n_regions} regions",
                 best=_expand_symmetric(neg, n_regions),
-                residual=_full_residual_norm(e),
+                residual=_full_residual_norm(stats[3]),
             )
 
-    if _full_residual_norm(e) <= tol:
-        return Partition.from_boundaries(_expand_symmetric(neg, n_regions))
-    raise SolverError(
-        f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
-        best=_expand_symmetric(neg, n_regions),
-        residual=_full_residual_norm(e),
-    )
+    # Newton converges quadratically, so one more step from a point that
+    # meets tol lands at rounding level; keep it only if it is better
+    delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
+    point = _trial(neg, eps, delta, d_eps, 1.0, n_regions)
+    passes += point is not None
+    polish_kept = point is not None and point[4] < norm2
+    if polish_kept:
+        neg, stats = point[0], point[2]
+
+    _log.debug(_SOLVE_RECORD, n_regions, iterations, halvings, passes + 1, polish_kept,
+               _full_residual_norm(stats[3]))
+    return Partition.from_boundaries(_expand_symmetric(neg, n_regions))
 
 
 def _full_residual_norm(e: np.ndarray) -> float:
@@ -317,8 +391,7 @@ def parameter_table(max_segments: int, tol: float = DEFAULT_TOL) -> list[Partiti
     Segment count refers to the piecewise-linear lower bound, which has
     one segment more than the partition has regions.
     """
-    if not isinstance(max_segments, int) or max_segments < 2:
-        raise InvalidParameterError("max_segments must be an integer >= 2")
+    max_segments = check_count(max_segments, 2, "max_segments must be an integer >= 2")
     rows = []
     for segments in range(2, max_segments + 1):
         try:

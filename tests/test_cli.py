@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -313,6 +314,27 @@ def test_overflowing_plot_grid_fails_loudly(capsys, sigma):
     assert rc == 1
     assert out == ""
     assert err == f"error: plot grid width is not finite (mu=0.0, sigma={float(sigma)!r})\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--max", "12"),
+    ("bounds", "--segments", "31", "--format", "json"),
+    ("bounds", "--segments", "12", "--format", "plot", "--n-points", "11"),
+], ids=["table", "json", "plot"])
+def test_debug_logging_leaves_stdout_unchanged(capsys, argv):
+    rc, quiet, _ = run(capsys, *argv)
+    logger = logging.getLogger("losslin")
+    handler = logging.StreamHandler(sys.stderr)
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        rc_debug, out, err = run(capsys, *argv)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+    assert rc == rc_debug == 0
+    assert out.encode() == quiet.encode()
+    assert "solve_minimax n_regions=" in err
 
 
 def test_module_entry_point():

@@ -421,6 +421,15 @@ class TestPlotData:
         with pytest.raises(InvalidParameterError):
             plot_data(build_report(solve_minimax(2)), 1)
 
+    @pytest.mark.parametrize("n_points", [True, 5.0, "5"])
+    def test_non_integer_point_count_rejected(self, n_points):
+        with pytest.raises(InvalidParameterError, match="^n_points must be an integer >= 2$"):
+            plot_data(build_report(solve_minimax(2)), n_points)
+
+    def test_numpy_integer_point_count_accepted(self):
+        report = build_report(solve_minimax(2))
+        assert plot_data(report, np.int64(5)) == plot_data(report, 5)
+
     def test_cells_are_17_significant_digits(self):
         for scale in (NormalParams(), NormalParams(-3.0, 0.25), NormalParams(1e6, 1e-3)):
             text = plot_data(build_report(solve_minimax(5), scale), 2001)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import mpmath
@@ -20,6 +21,7 @@ from losslin import (
     phi,
     solve_minimax,
 )
+from losslin import gaussian as gaussian_mod
 from losslin import partition as partition_mod
 
 from reference_table import REFERENCE
@@ -55,6 +57,16 @@ class TestDegenerateCases:
             solve_minimax(-3)
         with pytest.raises(InvalidParameterError):
             solve_minimax(4, tol=0.0)
+
+    @pytest.mark.parametrize("n", [True, False, 5.0, "5", None])
+    def test_non_integer_region_count_rejected(self, n):
+        with pytest.raises(InvalidParameterError,
+                           match="^n_regions must be a positive integer, got "):
+            solve_minimax(n)
+
+    def test_numpy_integer_region_count_accepted(self):
+        p = solve_minimax(np.int64(5))
+        assert p == solve_minimax(5) and p.n_regions == 5
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_non_finite_tol_rejected(self, tol):
@@ -195,8 +207,8 @@ class TestNewtonSystem:
     def test_jacobian_matches_central_differences(self, n):
         neg = self.perturbed_point(n)
         rows = (n + 1) // 2
-        upper, p, m, _ = partition_mod._symmetric_stats(neg, n)
-        analytic = self.dense(*partition_mod._reduced_jacobian(upper, p, m, n))
+        stats = partition_mod._symmetric_stats(neg, n)
+        analytic = self.dense(*partition_mod._reduced_jacobian(stats, n))
         h = 1e-6
         numeric = np.empty_like(analytic)
         for j in range(neg.size):
@@ -210,27 +222,43 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("n", [3, 4, 7, 8, 101])
     def test_newton_step_solves_the_bordered_system(self, n):
         neg = self.perturbed_point(n)
-        upper, p, m, _ = partition_mod._symmetric_stats(neg, n)
-        diag, sub, mid = partition_mod._reduced_jacobian(upper, p, m, n)
+        stats = partition_mod._symmetric_stats(neg, n)
+        diag, sub, mid = partition_mod._reduced_jacobian(stats, n)
         r = np.random.default_rng(0).normal(size=diag.size + 1)
         delta, d_eps = partition_mod._newton_step(diag, sub, mid, r)
         bordered = np.hstack((self.dense(diag, sub, mid), -np.ones((diag.size + 1, 1))))
         want = np.linalg.solve(bordered, -r)
         np.testing.assert_allclose(np.append(delta, d_eps), want, rtol=1e-9)
 
-    def test_residual_evaluations_stay_constant_in_n(self, monkeypatch):
+    def test_jacobian_reuses_the_boundary_values(self, monkeypatch):
+        # Phi(b) and phi(b) come from the residual pass; only Phi(m) is new
+        stats = partition_mod._symmetric_stats(self.perturbed_point(101), 101)
         calls = []
-        region_stats = partition_mod._region_stats
 
-        def counting(upper):
-            calls.append(upper.size)
-            return region_stats(upper)
+        def counting(name):
+            kernel = getattr(gaussian_mod, name)
 
-        monkeypatch.setattr(partition_mod, "_region_stats", counting)
-        p = solve_minimax(1000)
-        assert len(calls) <= 20
-        monkeypatch.undo()
-        assert breakpoint_errors(p).spread <= 1e-10
+            def wrapper(x):
+                calls.append(name)
+                return kernel(x)
+            return wrapper
+
+        for name in ("cdf", "phi"):
+            monkeypatch.setattr(gaussian_mod, name, counting(name))
+        partition_mod._reduced_jacobian(stats, 101)
+        assert calls == ["cdf"]
+
+    def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls):
+        # every size to 300, then a stride up to the CLI cap of 10000 regions
+        for n in [*range(3, 301), *range(301, 10000, 199), 10000]:
+            del region_stats_calls[:]
+            spread = breakpoint_errors(solve_minimax(n)).spread
+            assert spread <= 1e-10 and len(region_stats_calls) <= 7, (n, spread)
+
+    @pytest.mark.parametrize("n", [100, 300, 1000, 3000, 10000])
+    def test_polished_residual_reaches_rounding_level(self, n):
+        e = np.asarray(breakpoint_errors(solve_minimax(n)).values)
+        assert partition_mod._full_residual_norm(e) <= 1e-13
 
     def test_cli_cap_size_converges(self):
         # --segments is capped at 10001, i.e. 10000 regions
@@ -265,12 +293,13 @@ class TestOnePass:
         del region_stats_calls[:]
         values = breakpoint_errors(p).values
         assert region_stats_calls == []
-        _, _, e = partition_mod._region_stats(np.asarray(p.upper_limits))
+        e = partition_mod._region_stats(np.asarray(p.upper_limits))[2]
         assert values == tuple(e.tolist())
 
-    def test_solve_minimax_1000_makes_11_stats_calls(self, region_stats_calls):
+    def test_solve_minimax_1000_makes_6_stats_calls(self, region_stats_calls):
+        # the start, 3 Newton steps, the polishing step and the certificate
         solve_minimax(1000)
-        assert len(region_stats_calls) == 11
+        assert len(region_stats_calls) == 6
 
     def test_errors_field_stays_out_of_init_and_repr(self):
         p = solve_minimax(3)
@@ -278,6 +307,39 @@ class TestOnePass:
         assert [f.name for f in dataclasses.fields(Partition) if f.init] == ["upper_limits"]
         with pytest.raises(TypeError):
             Partition(p.upper_limits, _errors=breakpoint_errors(p).values)
+
+
+class TestSolveLog:
+    """solve_minimax logs one DEBUG record per solve on the losslin logger."""
+
+    @staticmethod
+    def solve_records(caplog, n):
+        with caplog.at_level(logging.DEBUG, logger="losslin"):
+            part = solve_minimax(n)
+        records = [r for r in caplog.records if r.name == "losslin.partition"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        return part, records[0]
+
+    def test_record_counts_the_solve(self, caplog, region_stats_calls):
+        part, record = self.solve_records(caplog, 1000)
+        n, iterations, halvings, passes, polish_kept, residual = record.args
+        assert (n, iterations, halvings) == (1000, 3, 0)
+        assert passes == len(region_stats_calls) == 6
+        assert polish_kept is True
+        e = np.asarray(breakpoint_errors(part).values)
+        assert residual == partition_mod._full_residual_norm(e) <= 1e-13
+        assert record.getMessage().startswith("solve_minimax n_regions=1000 iterations=3 ")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_forms_log_no_iterations(self, caplog, n):
+        _, record = self.solve_records(caplog, n)
+        assert record.args[:5] == (n, 0, 0, 1, False)
+
+    def test_silent_by_default(self, capfd):
+        handlers = logging.getLogger("losslin").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+        solve_minimax(7)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestParameterTable:
@@ -292,6 +354,15 @@ class TestParameterTable:
     def test_requires_at_least_two_segments(self):
         with pytest.raises(InvalidParameterError):
             parameter_table(1)
+
+    @pytest.mark.parametrize("max_segments", [True, 3.0, "3"])
+    def test_non_integer_segment_count_rejected(self, max_segments):
+        with pytest.raises(InvalidParameterError,
+                           match="^max_segments must be an integer >= 2$"):
+            parameter_table(max_segments)
+
+    def test_numpy_integer_segment_count_accepted(self):
+        assert parameter_table(np.int64(3)) == parameter_table(3)
 
 
 class TestPartitionValidation:
@@ -329,6 +400,26 @@ class TestPartitionValidation:
         assert q == p and hash(q) == hash(p)
         assert type(q.upper_limits) is tuple
         assert all(type(b) is float for b in q.upper_limits)
+
+    @pytest.mark.parametrize("upper", [5.0, None, "ab", [[0.0, math.inf]], [1j, math.inf]],
+                             ids=["float", "none", "str", "nested", "complex"])
+    def test_malformed_upper_limits_rejected(self, upper):
+        with pytest.raises(InvalidParameterError,
+                           match="^upper limits must be a flat sequence of numbers$"):
+            Partition(upper)
+
+    @pytest.mark.parametrize("interior", [[[0.0]], [[-1.0], [1.0]], ["a"]],
+                             ids=["nested", "ragged", "str"])
+    def test_malformed_interior_boundaries_rejected(self, interior):
+        with pytest.raises(InvalidParameterError,
+                           match="^upper limits must be a flat sequence of numbers$"):
+            Partition.from_boundaries(interior)
+
+    @pytest.mark.parametrize("interior", [5.0, None])
+    def test_non_iterable_interior_boundaries_rejected(self, interior):
+        with pytest.raises(InvalidParameterError,
+                           match="^interior boundaries must be a sequence of numbers$"):
+            Partition.from_boundaries(interior)
 
     def test_lower_limits_view(self):
         p = solve_minimax(3)
