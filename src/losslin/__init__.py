@@ -25,7 +25,6 @@ from .bounds import (
     build_lower,
     build_report,
     build_upper_chord,
-    build_upper_shift,
     evaluate,
     max_gap,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "build_lower",
     "build_report",
     "build_upper_chord",
-    "build_upper_shift",
     "cdf",
     "closs",
     "closs_generic",

@@ -30,7 +30,6 @@ __all__ = [
     "PiecewiseLinear",
     "BoundReport",
     "build_lower",
-    "build_upper_shift",
     "build_upper_chord",
     "build_report",
     "evaluate",
@@ -132,10 +131,10 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
 
 
 def _shear(slopes: tuple[float, ...], target: str) -> tuple[float, ...]:
+    """Slopes for target; PiecewiseLinear rejects a target other than
+    "closs" and "loss"."""
     if target == "loss":
         return tuple(s - 1.0 for s in slopes)
-    if target != "closs":
-        raise InvalidParameterError(f"unknown target {target!r}")
     return slopes
 
 
@@ -160,16 +159,6 @@ def build_lower(partition: Partition, scale: NormalParams = STANDARD,
         target=target,
         scale=scale,
     )
-
-
-def build_upper_shift(partition: Partition, scale: NormalParams = STANDARD,
-                      target: str = "closs") -> PiecewiseLinear:
-    """Upper bound obtained by lifting the lower bound by its maximum error.
-
-    Valid only for equal-error partitions: the lifted chain then touches
-    the exact function at every conditional mean.
-    """
-    return BoundReport(partition, scale, target).upper
 
 
 def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,

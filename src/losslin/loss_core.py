@@ -45,7 +45,11 @@ class NormalParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+        try:
+            finite = math.isfinite(self.mu) and math.isfinite(self.sigma)
+        except TypeError:
+            raise InvalidParameterError("mu and sigma must be numbers") from None
+        if not finite:
             raise InvalidParameterError("mu and sigma must be finite")
         if self.sigma <= 0.0:
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")

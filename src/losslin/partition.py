@@ -27,8 +27,8 @@ For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
 density.  Newton starts from the N(0, 2) quantiles, a few hundredths from
-the solution for every N, and takes one full polishing step after meeting
-the tolerance.
+the solution for every N, and takes full steps only; the step after
+meeting the tolerance polishes the result to rounding level.
 """
 
 from __future__ import annotations
@@ -60,32 +60,28 @@ _log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-10
 
 _MAX_ITER = 200
-_MAX_HALVINGS = 60
 
 
 def _region_stats(upper: np.ndarray):
     """masses, conditional means and breakpoint errors for boundaries b_1..b_N,
-    followed by Phi(b_i) and phi(b_i), which the solver's Jacobian reuses.
+    followed by Phi(b_i) and phi(b_i), which the solver's Jacobian reuses;
+    None if some region has no positive mass.
 
-    b_N must be +inf, and callers reject non-finite interior boundaries
-    first (Partition and _ordered do).  Phi and phi are evaluated once per
-    interior boundary and padded with their limits at -inf and +inf.  A
-    region without positive mass gets NaN mean and error, so the solver
-    line search can reject bad steps instead of crashing.
+    b_N must be +inf and the interior boundaries finite (Partition and
+    _symmetric_stats check this first).  Phi and phi are evaluated once per
+    interior boundary and padded with their limits at -inf and +inf.
+    Positive masses imply strictly increasing boundaries, so a None also
+    rejects crossed ones.
     """
     inner = upper[:-1]
     big_phi = np.concatenate(([0.0], gaussian.cdf(inner), [1.0]))
     small_phi = np.concatenate(([0.0], gaussian.phi(inner), [0.0]))
     big_phi_hi, small_phi_hi = big_phi[1:], small_phi[1:]
     p = big_phi_hi - big_phi[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = (small_phi[:-1] - small_phi_hi) / p
-    bad = ~(p > 0.0)
-    if np.any(bad):
-        m = np.where(bad, np.nan, m)
-    e = np.where(np.isfinite(m),
-                 closs_std(np.nan_to_num(m)) - (big_phi_hi * m + small_phi_hi),
-                 np.nan)
+    if not np.all(p > 0.0):
+        return None
+    m = (small_phi[:-1] - small_phi_hi) / p
+    e = closs_std(m) - (big_phi_hi * m + small_phi_hi)
     return p, m, e, big_phi_hi, small_phi_hi
 
 
@@ -109,11 +105,13 @@ class Partition:
 
     def __post_init__(self):
         try:
-            b = np.asarray(self.upper_limits, dtype=float)
+            b = np.asarray(self.upper_limits)
         except (TypeError, ValueError):
             b = None
-        if b is None or b.ndim != 1:
+        # integer and float dtypes only: strings, objects, bools and complex are rejected
+        if b is None or b.ndim != 1 or b.dtype.kind not in "iuf":
             raise InvalidParameterError("upper limits must be a flat sequence of numbers")
+        b = b.astype(float, copy=False)
         if b.size < 1:
             raise InvalidParameterError("a partition needs at least one region")
         if not math.isinf(b[-1]) or b[-1] < 0:
@@ -121,10 +119,10 @@ class Partition:
         if b.size > 1 and (not np.all(np.isfinite(b[:-1])) or np.any(np.diff(b) <= 0)):
             raise InvalidParameterError("upper limits must be finite and strictly increasing")
 
-        p, m, e, _, _ = _region_stats(b)
-        # a region without positive mass has m = e = NaN
-        if not np.all(np.isfinite(e)):
+        stats = _region_stats(b)
+        if stats is None:
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
+        p, m, e, _, _ = stats
         if abs(p.sum() - 1.0) > 1e-12:
             raise InvalidParameterError("region masses must sum to one")
         if np.any(np.diff(m) <= 0):
@@ -195,9 +193,13 @@ def _expand_symmetric(neg: np.ndarray, n_regions: int) -> np.ndarray:
 
 
 def _symmetric_stats(neg: np.ndarray, n_regions: int):
-    """Upper limits b_1..b_N of the symmetric point, then its _region_stats."""
+    """Upper limits b_1..b_N of the symmetric point, then its _region_stats;
+    None if some boundary is not finite or some region has no positive mass."""
+    if not np.all(np.isfinite(neg)):
+        return None
     upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
-    return (upper,) + _region_stats(upper)
+    stats = _region_stats(upper)
+    return None if stats is None else (upper,) + stats
 
 
 def _reduced_jacobian(stats, n_regions: int):
@@ -250,11 +252,6 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     return np.array(u) + d_eps * np.array(v), d_eps
 
 
-def _ordered(neg: np.ndarray, n_regions: int) -> bool:
-    interior = _expand_symmetric(neg, n_regions)
-    return bool(np.all(np.isfinite(interior)) and np.all(np.diff(interior) > 0))
-
-
 def check_tol(tol: float) -> float:
     """Return tol if it is a usable solver tolerance: positive and finite."""
     if not 0.0 < tol < math.inf:
@@ -279,20 +276,7 @@ def check_count(value, minimum: int, message: str) -> int:
     raise InvalidParameterError(message)
 
 
-def _trial(neg, eps: float, delta, d_eps: float, step: float, n_regions: int):
-    """(neg, eps, stats, r, norm2) a step along (delta, d_eps), where stats
-    is _symmetric_stats and r the reduced residuals; None if the step leaves
-    the ordered boundaries."""
-    neg = neg + step * delta
-    if not _ordered(neg, n_regions):
-        return None
-    stats = _symmetric_stats(neg, n_regions)
-    eps = eps + step * d_eps
-    r = stats[3][:(n_regions + 1) // 2] - eps
-    return neg, eps, stats, r, float(r @ r)
-
-
-_SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d halvings=%d passes=%d "
+_SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d passes=%d "
                  "polish_kept=%s residual=%.3g")
 
 
@@ -305,16 +289,17 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     symmetric-optimum property exactly.  The residuals e_i - eps over the
     ceil(N/2) symmetry-distinct breakpoints form a square system whose
     exact Jacobian is lower bidiagonal plus a column of -1s, so each Newton
-    step costs O(N).  A monotone line search rejects non-finite or
-    unordered trial points; iteration stops once the residuals e_1 - e_k
-    over all breakpoints have norm <= tol.  One more full Newton step then
-    polishes the result and is kept only if it lowers the residual.  N = 1
-    and N = 2 are returned analytically.
+    step costs O(N).  Each full Newton step is kept only if its point has
+    finite boundaries, regions of positive mass and a smaller reduced
+    residual; a rejected step before convergence raises SolverError with
+    the best point.  Once the residuals e_1 - e_k over all breakpoints
+    have norm <= tol, one more step polishes the result, kept on the same
+    terms.  N = 1 and N = 2 are returned analytically.
 
     Each call logs one DEBUG record on the losslin.partition logger: N,
-    Newton iterations, line-search halvings, region-statistics passes
-    (including the one that certifies the result), whether the polishing
-    step was kept, and the final residual norm over all breakpoints.
+    Newton iterations, region-statistics passes (including the one that
+    certifies the result), whether the polishing step was kept, and the
+    final residual norm over all breakpoints.
     """
     n_regions = check_count(n_regions, 1,
                             f"n_regions must be a positive integer, got {n_regions!r}")
@@ -322,7 +307,7 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
 
     if n_regions <= 2:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
-        _log.debug(_SOLVE_RECORD, n_regions, 0, 0, 1, False,
+        _log.debug(_SOLVE_RECORD, n_regions, 0, 1, False,
                    _full_residual_norm(np.asarray(part._errors)))
         return part
 
@@ -336,46 +321,42 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     eps = float(np.mean(stats[3][:rows]))
     r = stats[3][:rows] - eps
     norm2 = float(r @ r)
-    iterations = halvings = 0
+    iterations = 0
     passes = 1
 
-    while _full_residual_norm(stats[3]) > tol:
-        if iterations == _MAX_ITER:
+    while True:
+        residual = _full_residual_norm(stats[3])
+        # Newton converges quadratically, so a step from a point that meets
+        # tol lands at rounding level; that polishing step is the last
+        polishing = residual <= tol
+        if not polishing and iterations == _MAX_ITER:
             raise SolverError(
                 f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
                 best=_expand_symmetric(neg, n_regions),
-                residual=_full_residual_norm(stats[3]),
+                residual=residual,
+            )
+        delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
+        trial_neg = neg + delta
+        trial = _symmetric_stats(trial_neg, n_regions)
+        kept = False
+        if trial is not None:
+            passes += 1
+            trial_r = trial[3][:rows] - (eps + d_eps)
+            if float(trial_r @ trial_r) < norm2:
+                neg, eps, stats, r = trial_neg, eps + d_eps, trial, trial_r
+                norm2 = float(r @ r)
+                kept = True
+        if polishing:
+            break
+        if not kept:
+            raise SolverError(
+                f"Newton iteration stalled for {n_regions} regions",
+                best=_expand_symmetric(neg, n_regions),
+                residual=residual,
             )
         iterations += 1
-        delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            point = _trial(neg, eps, delta, d_eps, step, n_regions)
-            passes += point is not None
-            # a NaN or inf norm compares False, so unusable points are rejected
-            if point is not None and point[4] < norm2:
-                neg, eps, stats, r, norm2 = point
-                break
-            step *= 0.5
-            halvings += 1
-        else:
-            # the search is monotone, so the current point is the best seen
-            raise SolverError(
-                f"line search stalled for {n_regions} regions",
-                best=_expand_symmetric(neg, n_regions),
-                residual=_full_residual_norm(stats[3]),
-            )
 
-    # Newton converges quadratically, so one more step from a point that
-    # meets tol lands at rounding level; keep it only if it is better
-    delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
-    point = _trial(neg, eps, delta, d_eps, 1.0, n_regions)
-    passes += point is not None
-    polish_kept = point is not None and point[4] < norm2
-    if polish_kept:
-        neg, stats = point[0], point[2]
-
-    _log.debug(_SOLVE_RECORD, n_regions, iterations, halvings, passes + 1, polish_kept,
+    _log.debug(_SOLVE_RECORD, n_regions, iterations, passes + 1, kept,
                _full_residual_norm(stats[3]))
     return Partition.from_boundaries(_expand_symmetric(neg, n_regions))
 

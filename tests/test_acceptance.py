@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from losslin import (
+    BoundReport,
     NormalParams,
     STANDARD,
     adaptive_simpson,
@@ -18,7 +19,6 @@ from losslin import (
     build_lower,
     build_report,
     build_upper_chord,
-    build_upper_shift,
     cdf,
     closs_generic,
     closs_std,
@@ -172,7 +172,7 @@ def test_criterion_08_upper_bound_equivalence(capsys):
     worst_gap_mismatch = 0.0
     for n in (1, 4, 7, 10):
         part = solve_minimax(n)
-        shift = build_upper_shift(part)
+        shift = BoundReport(part).upper
         chord = build_upper_chord(part.cond_means)
         xs = np.linspace(-9.0, 9.0, 100_000)
         worst_diff = max(worst_diff, float(np.max(np.abs(

@@ -21,7 +21,6 @@ from losslin import (
     build_lower,
     build_report,
     build_upper_chord,
-    build_upper_shift,
     closs,
     closs_std,
     evaluate,
@@ -140,25 +139,25 @@ class TestLowerBound:
 
 class TestShiftUpperBound:
     def test_single_region(self):
-        pl = build_upper_shift(solve_minimax(1))
+        pl = BoundReport(solve_minimax(1)).upper
         assert pl.slopes == (0.0, 1.0)
         assert pl.intercepts == approx((INV_SQRT_2PI, INV_SQRT_2PI), abs=1e-15)
         assert evaluate(pl, -10.0) == approx(0.398942, abs=1e-6)
 
     def test_touches_exact_at_conditional_means(self):
         p = solve_minimax(4)
-        pl = build_upper_shift(p)
+        pl = BoundReport(p).upper
         for m in p.cond_means:
             assert evaluate(pl, m) == approx(closs_std(m), abs=1e-10)
 
     def test_breakpoints_inherited_from_lower(self):
         p = solve_minimax(4)
-        assert build_upper_shift(p).breakpoints == approx(
+        assert BoundReport(p).upper.breakpoints == approx(
             (-1.43535, -0.415223, 0.415223, 1.43535), abs=1e-4)
 
     def test_gap_peaks_at_region_boundaries(self):
         p = solve_minimax(4)
-        pl = build_upper_shift(p)
+        pl = BoundReport(p).upper
         for b in (*p.upper_limits[:-1],):
             gap = evaluate(pl, b) - closs_std(b)
             assert gap == approx(p.max_error, abs=1e-9)
@@ -166,13 +165,13 @@ class TestShiftUpperBound:
     def test_equal_max_gap_with_lower(self):
         p = solve_minimax(6)
         g_lo, _ = max_gap(build_lower(p), 100_000)
-        g_up, _ = max_gap(build_upper_shift(p), 100_000)
+        g_up, _ = max_gap(BoundReport(p).upper, 100_000)
         assert abs(g_lo - g_up) <= 1e-6
 
     def test_rejects_unequal_error_partition(self):
         skew = Partition.from_boundaries((-2.0, 0.0, 2.0))
         with pytest.raises(InvalidParameterError):
-            build_upper_shift(skew)
+            BoundReport(skew)
 
 
 class TestChordUpperBound:
@@ -188,7 +187,7 @@ class TestChordUpperBound:
 
     def test_agrees_with_shift_on_minimax_means(self):
         p = solve_minimax(4)
-        shift = build_upper_shift(p)
+        shift = BoundReport(p).upper
         chord = build_upper_chord(p.cond_means)
         xs = np.linspace(-9.0, 9.0, 20001)
         assert np.max(np.abs(pl_values(shift, xs) - pl_values(chord, xs))) <= 1e-4
@@ -196,7 +195,7 @@ class TestChordUpperBound:
     def test_agrees_with_shift_after_rescaling(self):
         scale = NormalParams(20.0, 5.0)
         p = solve_minimax(5)
-        shift = build_upper_shift(p, scale)
+        shift = BoundReport(p, scale).upper
         chord = build_upper_chord(shift.breakpoints, scale)
         xs = np.linspace(20.0 - 45.0, 20.0 + 45.0, 20001)
         assert np.max(np.abs(pl_values(shift, xs) - pl_values(chord, xs))) <= 1e-6
@@ -328,7 +327,7 @@ class TestExactCertificate:
 
     def test_single_region_upper_peaks_at_infinity(self):
         p = solved(1)
-        gap, x = max_gap(build_upper_shift(p))
+        gap, x = max_gap(BoundReport(p).upper)
         assert math.isinf(x)
         assert gap == p.max_error
 
@@ -356,7 +355,7 @@ def test_exact_gap_agrees_with_grid_reference(kind, n, nodes, mu, sigma, target)
     elif kind == "lower":
         pl = build_lower(solved(n), scale, target)
     else:
-        pl = build_upper_shift(solved(n), scale, target)
+        pl = BoundReport(solved(n), scale, target).upper
     gap, _ = max_gap(pl)
     grid, spacing = grid_gap(pl, 20_001)
     rounding = 1e-13 * (abs(mu) + sigma)
@@ -416,7 +415,12 @@ class TestBoundReport:
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
     def test_upper_is_the_shifted_bound(self, n, target):
         p, scale = solve_minimax(n), NormalParams(-3.5, 0.37)
-        assert build_report(p, scale, target).upper == build_upper_shift(p, scale, target)
+        report = build_report(p, scale, target)
+        assert report.upper == PiecewiseLinear(
+            std_breakpoints=report.lower.std_breakpoints,
+            std_slopes=report.lower.std_slopes,
+            std_intercepts=tuple(c + p.max_error for c in report.lower.std_intercepts),
+            kind="upper", target=target, scale=scale)
 
     def test_reuses_the_partition_statistics(self, region_stats_calls):
         p = solve_minimax(7)
@@ -494,6 +498,14 @@ class TestPiecewiseLinearValidation:
             PiecewiseLinear((), (1.0,), (0.0,), "middle", "closs", STANDARD)
         with pytest.raises(InvalidParameterError):
             PiecewiseLinear((), (1.0,), (0.0,), "lower", "gain", STANDARD)
+
+    @pytest.mark.parametrize("build", [
+        lambda target: build_lower(solve_minimax(3), STANDARD, target),
+        lambda target: build_upper_chord((-1.0, 1.0), STANDARD, target),
+    ], ids=["lower", "chord"])
+    def test_builders_reject_an_unknown_target(self, build):
+        with pytest.raises(InvalidParameterError, match="^unknown target 'foo'$"):
+            build("foo")
 
 
 @settings(max_examples=40, deadline=None)

@@ -140,6 +140,12 @@ class TestScaling:
         with pytest.raises(InvalidParameterError):
             NormalParams(math.nan, 1.0)
 
+    @pytest.mark.parametrize("args", [("0", 1.0), (None,), (0.0, "1"), (1j, 1.0)],
+                             ids=["str-mu", "none-mu", "str-sigma", "complex-mu"])
+    def test_params_must_be_numbers(self, args):
+        with pytest.raises(InvalidParameterError, match="^mu and sigma must be numbers$"):
+            NormalParams(*args)
+
 
 class TestIdentities:
     def test_relationship_standard(self):

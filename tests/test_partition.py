@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -266,13 +267,42 @@ class TestNewtonSystem:
         assert breakpoint_errors(p).spread <= 1e-10
 
     def test_stall_reports_best_point(self):
-        # a tolerance below rounding cannot be met: the line search stalls
+        # a tolerance below rounding cannot be met: a full Newton step from
+        # a point at rounding level does not lower the residual
         with pytest.raises(SolverError) as info:
             solve_minimax(7, tol=1e-30)
         best = np.asarray(info.value.best)
         assert best.size == 6 and np.all(np.diff(best) > 0)
         assert best == approx(solve_minimax(7).upper_limits[:-1], abs=1e-9)
         assert 0.0 <= info.value.residual <= 1e-10
+
+    def test_stall_is_found_without_step_halving(self, region_stats_calls):
+        # a rejected step fails the solve at once: no shorter steps are tried
+        with pytest.raises(SolverError, match="stalled"):
+            solve_minimax(7, tol=1e-30)
+        assert len(region_stats_calls) <= 8
+
+    @pytest.mark.parametrize("bad_step", [
+        lambda neg: [neg[1] - neg[0], neg[0] - neg[1], 0.0],
+        lambda neg: [neg[1] - neg[0], 0.0, 0.0],
+        lambda neg: [-40.0 - neg[0], -39.0 - neg[1], 0.0],
+        lambda neg: [0.0, 0.0, 1.0 - neg[2]],
+        lambda neg: [0.0, math.inf, 0.0],
+    ], ids=["crossed", "equal", "massless-tail", "past-zero", "infinite"])
+    def test_unusable_step_is_rejected(self, monkeypatch, bad_step):
+        # the first Newton step leaves the ordered, positive-mass points;
+        # the solver rejects it and reports the starting point as the best
+        n = 7
+        start = math.sqrt(2.0) * np.asarray(inv_cdf(np.arange(1, 4) / n))
+        monkeypatch.setattr(partition_mod, "_newton_step",
+                            lambda *args: (np.asarray(bad_step(start)), 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="stalled") as info:
+                solve_minimax(n)
+        assert np.array_equal(info.value.best, partition_mod._expand_symmetric(start, n))
+        e = partition_mod._symmetric_stats(start, n)[3]
+        assert info.value.residual == partition_mod._full_residual_norm(e)
 
 
 class TestOnePass:
@@ -322,8 +352,8 @@ class TestSolveLog:
 
     def test_record_counts_the_solve(self, caplog, region_stats_calls):
         part, record = self.solve_records(caplog, 1000)
-        n, iterations, halvings, passes, polish_kept, residual = record.args
-        assert (n, iterations, halvings) == (1000, 3, 0)
+        n, iterations, passes, polish_kept, residual = record.args
+        assert (n, iterations) == (1000, 3)
         assert passes == len(region_stats_calls) == 6
         assert polish_kept is True
         e = np.asarray(breakpoint_errors(part).values)
@@ -333,7 +363,7 @@ class TestSolveLog:
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_forms_log_no_iterations(self, caplog, n):
         _, record = self.solve_records(caplog, n)
-        assert record.args[:5] == (n, 0, 0, 1, False)
+        assert record.args[:4] == (n, 0, 1, False)
 
     def test_silent_by_default(self, capfd):
         handlers = logging.getLogger("losslin").handlers
@@ -401,8 +431,9 @@ class TestPartitionValidation:
         assert type(q.upper_limits) is tuple
         assert all(type(b) is float for b in q.upper_limits)
 
-    @pytest.mark.parametrize("upper", [5.0, None, "ab", [[0.0, math.inf]], [1j, math.inf]],
-                             ids=["float", "none", "str", "nested", "complex"])
+    @pytest.mark.parametrize("upper", [5.0, None, "ab", [[0.0, math.inf]], [1j, math.inf],
+                                       ["0", "inf"]],
+                             ids=["float", "none", "str", "nested", "complex", "numeric-str"])
     def test_malformed_upper_limits_rejected(self, upper):
         with pytest.raises(InvalidParameterError,
                            match="^upper limits must be a flat sequence of numbers$"):
