@@ -36,6 +36,8 @@ def phi(x):
     arr, scalar = _as_array(x)
     if not np.all(np.isfinite(arr)):
         raise DomainError("phi requires finite input")
+    # phi(+/-40) is exactly 0.0 already; clipping keeps x^2 from overflowing
+    arr = arr.clip(-40.0, 40.0)
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
     return float(out) if scalar else out
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import subprocess
 import sys
 
@@ -181,6 +182,13 @@ class TestBounds:
         assert rc == 1
         assert out == ""
         assert err == f"error: n-points must lie in 2..{_MAX_PLOT_POINTS}\n"
+
+    def test_tolerance_below_rounding_stalls_with_reason(self, capsys):
+        rc, out, err = run(capsys, "bounds", "--segments", "8", "--tol", "1e-30")
+        assert rc == 1
+        assert out == ""
+        assert re.fullmatch(r"error: Newton iteration stalled for 7 regions "
+                            r"at residual \S+ > tol 1e-30\n", err)
 
 
 class TestMatchesLibrary:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -37,6 +38,21 @@ def test_phi_array_input():
     out = phi(xs)
     assert out.shape == (3,)
     assert out[0] == out[2]
+
+
+def test_phi_is_the_plain_formula_up_to_40():
+    xs = np.linspace(-40.0, 40.0, 8001)
+    assert np.array_equal(phi(xs), INV_SQRT_2PI * np.exp(-0.5 * xs * xs))
+    assert phi(40.0) == phi(-40.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [40.5, 1.3e154, 1e200, -1e200, 1.7e308])
+def test_phi_vanishes_far_out_without_overflow(x):
+    # x^2 overflows beyond ~1.3e154; the density is exactly 0.0 from 40 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi(x) == 0.0
+        assert np.array_equal(phi(np.array([x, 0.0])), [0.0, phi(0.0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

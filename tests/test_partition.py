@@ -220,7 +220,7 @@ class TestNewtonSystem:
             numeric[:, j] = (e_hi - e_lo) / (2.0 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=0.0)
 
-    @pytest.mark.parametrize("n", [3, 4, 7, 8, 101])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 101, 1000, 2001])
     def test_newton_step_solves_the_bordered_system(self, n):
         neg = self.perturbed_point(n)
         stats = partition_mod._symmetric_stats(neg, n)
@@ -230,6 +230,38 @@ class TestNewtonSystem:
         bordered = np.hstack((self.dense(diag, sub, mid), -np.ones((diag.size + 1, 1))))
         want = np.linalg.solve(bordered, -r)
         np.testing.assert_allclose(np.append(delta, d_eps), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("rho, n", [(1e-3, 100), (1.0 - 1e-12, 500)],
+                             ids=["near-0", "near-1"])
+    def test_newton_step_scan_at_extreme_ratios(self, rho, n):
+        # rho_i = -sub_i / diag_i; 1e-3 over 99 factors leaves P_n at 1e-297
+        rng = np.random.default_rng(n)
+        diag = rng.uniform(0.5, 2.0, n)
+        sub = np.concatenate(([0.0], -rho * diag[1:]))
+        r = rng.normal(size=n + 1)
+        delta, d_eps = partition_mod._newton_step(diag, sub, -1.0, r)
+        bordered = np.hstack((self.dense(diag, sub, -1.0), -np.ones((n + 1, 1))))
+        want = np.linalg.solve(bordered, -r)
+        np.testing.assert_allclose(np.append(delta, d_eps), want, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_underflowing_scan_fails_the_solve_at_the_start(self, monkeypatch):
+        # ratios of 1e-300 underflow the scan's running product: the step
+        # is rejected and the start is reported as the best point
+        n = 7
+        start = math.sqrt(2.0) * np.asarray(inv_cdf(np.arange(1, 4) / n))
+        jacobian = partition_mod._reduced_jacobian
+
+        def tiny_ratios(stats, n_regions):
+            diag, sub, mid = jacobian(stats, n_regions)
+            return diag, 1e-300 * sub, mid
+
+        monkeypatch.setattr(partition_mod, "_reduced_jacobian", tiny_ratios)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="stalled") as info:
+                solve_minimax(n)
+        assert np.array_equal(info.value.best, partition_mod._expand_symmetric(start, n))
 
     def test_jacobian_reuses_the_boundary_values(self, monkeypatch):
         # Phi(b) and phi(b) come from the residual pass; only Phi(m) is new
@@ -268,9 +300,13 @@ class TestNewtonSystem:
 
     def test_stall_reports_best_point(self):
         # a tolerance below rounding cannot be met: a full Newton step from
-        # a point at rounding level does not lower the residual
-        with pytest.raises(SolverError) as info:
+        # a point at rounding level does not lower the residual; the message
+        # names the residual reached and the tolerance asked for
+        with pytest.raises(SolverError,
+                           match=r"^Newton iteration stalled for 7 regions "
+                                 r"at residual \S+ > tol 1e-30$") as info:
             solve_minimax(7, tol=1e-30)
+        assert f"at residual {info.value.residual:.3g} >" in str(info.value)
         best = np.asarray(info.value.best)
         assert best.size == 6 and np.all(np.diff(best) > 0)
         assert best == approx(solve_minimax(7).upper_limits[:-1], abs=1e-9)
@@ -417,7 +453,9 @@ class TestPartitionValidation:
         with pytest.raises(TypeError):
             Partition(p.upper_limits, max_error=p.max_error + 1e-3)
 
-    @pytest.mark.parametrize("interior", [(-40.0, -39.0), (39.0, 40.0), (0.0, 1e-300)])
+    # 1e200 squares past the float range inside phi: that must not warn
+    @pytest.mark.parametrize("interior", [(-40.0, -39.0), (39.0, 40.0), (0.0, 1e-300),
+                                          (1e200,), (-1e200,)])
     def test_degenerate_region_rejected(self, interior):
         with pytest.raises(InvalidParameterError,
                            match="^boundaries produce an empty or degenerate region$"):
