@@ -36,7 +36,9 @@ __all__ = [
     "max_gap",
 ]
 
+# BoundReport's spread limits; only the relative one binds once max_error <= 1e-6
 _EQUAL_ERROR_SPREAD = 1e-6
+_EQUAL_ERROR_RELATIVE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -201,13 +203,13 @@ class BoundReport:
 
     A report is its partition, scale and target, the only constructor
     arguments.  Construction rejects a partition whose breakpoint errors
-    spread by more than 1e-6, then derives the tangent lower bound
-    (build_lower) and the upper bound, that chain with every standard
-    intercept lifted by the partition's maximum error.  The lower bound's
-    error peaks at its breakpoints, the rescaled conditional means; the
-    upper bound's at upper_error_locations, the rescaled region boundaries
-    and +-infinity.  Both peaks equal max_error, sigma times the
-    partition's standard error.
+    spread by more than 1e-6 or more than 1e-5 * max_error, then derives
+    the tangent lower bound (build_lower) and the upper bound, that chain
+    with every standard intercept lifted by the partition's maximum error.
+    The lower bound's error peaks at its breakpoints, the rescaled
+    conditional means; the upper bound's at upper_error_locations, the
+    rescaled region boundaries and +-infinity.  Both peaks equal max_error,
+    sigma times the partition's standard error.
     """
 
     partition: Partition
@@ -221,9 +223,12 @@ class BoundReport:
         if not isinstance(part, Partition):
             raise InvalidParameterError("partition must be a Partition instance")
         spread = breakpoint_errors(part).spread
-        if spread > _EQUAL_ERROR_SPREAD:
+        limit = min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * part.max_error)
+        if spread > limit:
             raise InvalidParameterError(
-                f"shift construction needs an equal-error partition (spread {spread:.3e})")
+                f"shift construction needs an equal-error partition (spread {spread:.3e} >"
+                f" {limit:.3e}, the lesser of {_EQUAL_ERROR_SPREAD:g} and"
+                f" {_EQUAL_ERROR_RELATIVE:g} * max_error)")
         lower = build_lower(part, self.scale, self.target)
         upper = PiecewiseLinear(
             std_breakpoints=lower.std_breakpoints,

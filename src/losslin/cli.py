@@ -7,24 +7,24 @@ the command line follow the user-facing convention (the lower bound's
 segment count, which is one more than the number of partition regions).
 
 Each option's default is set once, in the parser; ``losslin SUBCOMMAND
---help`` shows it.  ``table`` and ``bounds`` solve with --tol, else the
-LOSSLIN_TOL environment variable, else the library's DEFAULT_TOL; ``eval``
-never solves and ignores LOSSLIN_TOL.  The library checks mu, sigma and tol;
-the CLI checks only its own size caps.  Every check runs before any solve.
+--help`` shows it.  ``table`` and ``bounds`` solve with --tol, which
+defaults to the library's DEFAULT_TOL.  The library checks mu, sigma and
+tol; the CLI checks only its own size caps.  Every check runs before any
+solve, and a failed solve writes nothing: ``table`` exits 1 naming the
+first segment count that failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
 from .bounds import build_report
-from .errors import InvalidParameterError, LossLinError, SolverError
+from .errors import InvalidParameterError, LossLinError
 from .export_io import plot_data, to_csv_table, to_json, to_lp_constraints
 from .loss_core import NormalParams, closs, loss
-from .partition import DEFAULT_TOL, check_tol, solve_minimax
+from .partition import DEFAULT_TOL, check_tol, parameter_table, solve_minimax
 
 __all__ = ["main", "entry_point"]
 
@@ -38,16 +38,6 @@ _MAX_PLOT_POINTS = 10**6
 def _in_range(name: str, value: int, cap: int) -> None:
     if not 2 <= value <= cap:
         raise InvalidParameterError(f"{name} must lie in 2..{cap}")
-
-
-def _tol(args: argparse.Namespace) -> float:
-    tol, raw = args.tol, os.environ.get("LOSSLIN_TOL")
-    if tol is None and raw is not None:
-        try:
-            tol = float(raw)
-        except ValueError as exc:
-            raise InvalidParameterError(f"LOSSLIN_TOL is not a number: {raw!r}") from exc
-    return check_tol(DEFAULT_TOL if tol is None else tol)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +67,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="complementary loss or loss (default %(default)s)")
 
     def solver(p):
-        p.add_argument("--tol", type=float,
-                       help=f"solver tolerance (default LOSSLIN_TOL, else {DEFAULT_TOL:g})")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="solver tolerance (default %(default)g)")
         p.add_argument("--out", help="output path (default stdout)")
 
     p_eval = sub.add_parser("eval", help="exact loss value at a point")
@@ -123,27 +113,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    tol = _tol(args)
+    check_tol(args.tol)
     _in_range("max segments", args.max_segments, _MAX_SEGMENTS_CAP)
-    rows = []
-    failures = []
-    for segments in range(2, args.max_segments + 1):
-        try:
-            rows.append(solve_minimax(segments - 1, tol=tol))
-        except SolverError as exc:
-            failures.append(segments)
-            print(f"segments {segments}: {exc}", file=sys.stderr)
-    if rows:
-        _write(to_csv_table(rows), args.out)
-    return 1 if failures else 0
+    _write(to_csv_table(parameter_table(args.max_segments, args.tol)), args.out)
+    return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     _in_range("segments", args.segments, _MAX_BOUNDS_SEGMENTS)
     scale = NormalParams(args.mu, args.sigma)
-    tol = _tol(args)
+    check_tol(args.tol)
     _in_range("n-points", args.n_points, _MAX_PLOT_POINTS)
-    part = solve_minimax(args.segments - 1, tol=tol)
+    part = solve_minimax(args.segments - 1, tol=args.tol)
     report = build_report(part, scale, args.target)
     if args.fmt == "json":
         text = to_json(report)

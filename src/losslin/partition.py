@@ -13,6 +13,9 @@ Region bookkeeping for boundaries a_i < b_i (a_1 = -inf, b_N = +inf):
     mass        p_i = Phi(b_i) - Phi(a_i)
     cond. mean  m_i = (phi(a_i) - phi(b_i)) / p_i
     error       e_i = closs_std(m_i) - (Phi(b_i) * m_i + phi(b_i))
+                    = (phi(m_i) - phi(b_i)) + m_i * (Phi(m_i) - Phi(b_i))
+
+The second form of e_i, which subtracts like terms first, is the one computed.
 
 The solver exploits the symmetry of the optimum: only the strictly
 negative interior boundaries and the common error are unknowns, the rest
@@ -20,8 +23,9 @@ are mirrored (with an exact zero in the middle when the interior count is
 odd).  Each e_i depends only on its own region's two boundaries and has
 closed-form partials, so the Jacobian of the residuals e_i - eps is lower
 bidiagonal plus one column of -1s, and an exact Newton step costs O(N).
-The partials reuse the Phi and phi values of the pass that computed the
-residuals, so a Newton iteration evaluates each at the boundaries once.
+The partials reuse Phi(m_i) - Phi(b_i) and phi(b_i) from the pass that
+computed the residuals, so a Newton iteration evaluates Phi and phi once at
+the boundaries and once at the conditional means, and nothing else.
 
 For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
@@ -43,7 +47,6 @@ import numpy as np
 
 from . import gaussian
 from .errors import InvalidParameterError, SolverError
-from .loss_core import closs_std
 
 __all__ = [
     "Partition",
@@ -65,14 +68,14 @@ _MAX_ITER = 200
 
 def _region_stats(upper: np.ndarray):
     """masses, conditional means and breakpoint errors for boundaries b_1..b_N,
-    followed by Phi(b_i) and phi(b_i), which the solver's Jacobian reuses;
-    None if some region has no positive mass.
+    followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the solver's Jacobian
+    reuses; None if some region has no positive mass.
 
     b_N must be +inf and the interior boundaries finite (Partition and
-    _symmetric_stats check this first).  Phi and phi are evaluated once per
-    interior boundary and padded with their limits at -inf and +inf.
-    Positive masses imply strictly increasing boundaries, so a None also
-    rejects crossed ones.
+    _symmetric_stats check this first).  Phi and phi are evaluated once on
+    the interior boundaries, padded with their limits at -inf and +inf, and
+    once on the conditional means.  Positive masses imply strictly
+    increasing boundaries, so a None also rejects crossed ones.
     """
     inner = upper[:-1]
     big_phi = np.concatenate(([0.0], gaussian.cdf(inner), [1.0]))
@@ -82,8 +85,9 @@ def _region_stats(upper: np.ndarray):
     if not np.all(p > 0.0):
         return None
     m = (small_phi[:-1] - small_phi_hi) / p
-    e = closs_std(m) - (big_phi_hi * m + small_phi_hi)
-    return p, m, e, big_phi_hi, small_phi_hi
+    d_phi = gaussian.cdf(m) - big_phi_hi
+    e = (gaussian.phi(m) - small_phi_hi) + m * d_phi
+    return p, m, e, d_phi, small_phi_hi
 
 
 @dataclass(frozen=True)
@@ -214,8 +218,8 @@ def _reduced_jacobian(stats, n_regions: int):
         de_i/db_i     = (dPhi / p_i + 1) phi(b_i) (b_i - m_i)
         de_i/db_{i-1} = dPhi phi(b_{i-1}) (m_i - b_{i-1}) / p_i
 
-    stats is _symmetric_stats at the point, whose Phi(b_i) and phi(b_i) are
-    reused, so only Phi(m_i) is evaluated here.
+    stats is _symmetric_stats at the point, whose dPhi and phi(b_i) are
+    read, so this evaluates nothing.
 
     Returns (diag, sub, mid) as read by _newton_step: diag[i] = de_i/db_i
     and sub[i] = de_i/db_{i-1} for the rows i < h - 1 (sub[0] = 0, as the
@@ -223,10 +227,8 @@ def _reduced_jacobian(stats, n_regions: int):
     limit mirrors the last unknown when N is odd (b_h = -b_{h-1}, so
     mid = de/da - de/db) and is the fixed zero when N is even (mid = de/da).
     """
-    upper, p, m, _, big_phi, small_phi = stats
     rows = (n_regions + 1) // 2
-    b, p, m, phi_b = upper[:rows], p[:rows], m[:rows], small_phi[:rows]
-    d_phi = gaussian.cdf(m) - big_phi[:rows]
+    b, p, m, _, d_phi, phi_b = (v[:rows] for v in stats)
     d_upper = (d_phi / p + 1.0) * phi_b * (b - m)
     a = b[:-1]
     d_lower = np.concatenate(([0.0], d_phi[1:] * phi_b[:-1] * (m[1:] - a) / p[1:]))

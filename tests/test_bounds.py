@@ -18,6 +18,7 @@ from losslin import (
     Partition,
     PiecewiseLinear,
     STANDARD,
+    breakpoint_errors,
     build_lower,
     build_report,
     build_upper_chord,
@@ -432,6 +433,24 @@ class TestBoundReport:
         skew = Partition.from_boundaries((-2.0, 0.0, 2.0))
         with pytest.raises(InvalidParameterError, match="equal-error"):
             build_report(skew)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_rejects_a_spread_below_the_absolute_limit(self, n):
+        # one boundary moved 30% of the way to its neighbour spreads the errors
+        # by ~0.71 max_error, which stays below 1e-6 from N ~ 792 on
+        b = list(solve_minimax(n).upper_limits[:-1])
+        i = n // 2 - 1
+        b[i] += 0.3 * (b[i + 1] - b[i])
+        part = Partition.from_boundaries(b)
+        assert breakpoint_errors(part).spread < 1e-6
+        with pytest.raises(InvalidParameterError, match="equal-error"):
+            BoundReport(part)
+
+    def test_accepts_every_solved_partition(self):
+        # the largest relative float spread of a solved partition is ~1.3e-7
+        for n in [*range(1, 301), *range(301, 10002, 97), 10000, 10001]:
+            part = solve_minimax(n)
+            assert BoundReport(part).partition is part
 
 
 class TestPiecewiseLinearValidation:

@@ -100,6 +100,17 @@ class TestTable:
         assert rc == 1
         assert "30" in err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failing_size_writes_nothing(self, capsys, tmp_path, to_file):
+        # N = 1 and 2 are analytic; the first Newton solve, 4 segments, stalls
+        target = tmp_path / "table.csv"
+        argv = ("table", "--max", "4", "--tol", "1e-30")
+        rc, out, err = run(capsys, *argv, *(("--out", str(target)) if to_file else ()))
+        assert rc == 1
+        assert out == ""
+        assert not target.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: segment count 4:")
+
 
 class TestBounds:
     def test_json_document(self, capsys):
@@ -217,30 +228,19 @@ class TestMatchesLibrary:
 
 
 class TestEnvironmentTolerance:
-    def test_env_override_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOSSLIN_TOL", "1e-6")
-        rc, out, _ = run(capsys, "table", "--max", "4")
-        assert rc == 0
-        assert out.splitlines()[1].startswith("2,")
-
-    def test_env_override_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOSSLIN_TOL", "not-a-number")
-        rc, _, err = run(capsys, "table", "--max", "4")
-        assert rc == 1
-        assert "LOSSLIN_TOL" in err
+    """--tol is the only source of the solver tolerance; no variable is read."""
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
-    @pytest.mark.parametrize("via_env", [False, True])
+    @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv", [
         ("table", "--max", "4"), ("bounds", "--segments", "5")])
-    def test_invalid_tol_rejected(self, capsys, monkeypatch, argv, via_env, tol):
-        if via_env:
-            monkeypatch.setenv("LOSSLIN_TOL", tol)
-        else:
-            argv = (*argv, "--tol", tol)
+    def test_invalid_tol_rejected(self, capsys, tmp_path, argv, to_file, tol):
+        target = tmp_path / "out.txt"
+        argv = (*argv, "--tol", tol) + (("--out", str(target)) if to_file else ())
         rc, out, err = run(capsys, *argv)
         assert rc == 1
         assert out == ""
+        assert not target.exists()
         assert err == "error: tol must be a positive finite number\n"
 
     def test_eval_ignores_env(self, capsys, monkeypatch):
@@ -250,17 +250,11 @@ class TestEnvironmentTolerance:
         assert out.strip() == "0.398942280401"
         assert err == ""
 
-    def test_bounds_still_rejects_invalid_env(self, capsys, monkeypatch):
+    def test_table_ignores_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LOSSLIN_TOL", "abc")
-        rc, out, err = run(capsys, "bounds", "--segments", "5")
-        assert rc == 1
-        assert out == ""
-        assert err == "error: LOSSLIN_TOL is not a number: 'abc'\n"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOSSLIN_TOL", "not-a-number")
-        rc, _, _ = run(capsys, "table", "--max", "4", "--tol", "1e-9")
-        assert rc == 0
+        rc, out, err = run(capsys, "table", "--max", "3")
+        assert (rc, err) == (0, "")
+        assert out == to_csv_table(parameter_table(3))
 
 
 class TestOptionChecks:
@@ -268,9 +262,10 @@ class TestOptionChecks:
 
     @pytest.fixture(autouse=True)
     def forbid_solving(self, monkeypatch):
-        def solve(*args, **kwargs):
-            pytest.fail("solve_minimax called with an invalid option")
-        monkeypatch.setattr("losslin.cli.solve_minimax", solve)
+        for name in ("solve_minimax", "parameter_table"):
+            def solve(*args, name=name, **kwargs):
+                pytest.fail(f"{name} called with an invalid option")
+            monkeypatch.setattr(f"losslin.cli.{name}", solve)
 
     @pytest.mark.parametrize("argv, message", [
         (("bounds", "--segments", "1"), f"segments must lie in 2..{_MAX_BOUNDS_SEGMENTS}"),

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,11 +131,17 @@ class TestJson:
 # value against literals before the export text is compared.  Both strings
 # were recorded with the json.dumps-based renderer that _render replaced
 # (kept below as _reference_render).  "@V@" stands for the package version.
+# max_error is (phi(m) - phi(0)) + m (Phi(m) - 1/2) at m = sqrt(2/pi), in
+# either region by symmetry; the ungrouped form of the upper region,
+# closs_std(m) - m, gives 1 ulp more, which
+# test_n2_max_error_pin_is_nearer_the_truth shows is further from mpmath's value.
+_N2_MAX_ERROR = 0.1206560496714961
+_N2_MAX_ERROR_UNGROUPED = 0.12065604967149612
 _LITERAL_JSON = (
     '{"metadata": {"tool": "losslin", "version": "@V@", "segment_count": 3, '
     '"target": "loss", "kind": "lower_upper_pair", '
     '"mu": -12.300000000000001, "sigma": 0.37, '
-    '"max_error": 0.044642738378453568}, "lower": {"kind": "lower", '
+    '"max_error": 0.044642738378453554}, "lower": {"kind": "lower", '
     '"segments": [{"slope": -1, "intercept": -12.300000000000001, '
     '"domain_low": null, "domain_high": -12.595217287497061}, '
     '{"slope": -0.5, "intercept": -6.0023913562514704, '
@@ -147,13 +154,13 @@ _LITERAL_JSON = (
     '"domain_low": null, "domain_high": -12.595217287497061}, '
     '{"slope": -0.5, "intercept": -5.9577486178730164, '
     '"domain_low": -12.595217287497061, "domain_high": -12.004782712502941}, '
-    '{"slope": 0, "intercept": 0.044642738378453568, '
+    '{"slope": 0, "intercept": 0.044642738378453554, '
     '"domain_low": -12.004782712502941, "domain_high": null}], '
     '"breakpoints": [-12.595217287497061, -12.004782712502941], '
     '"error_locations": [null, -12.300000000000001, null]}, '
     '"partition": {"upper_limits": [0, null], "masses": [0.5, 0.5], '
     '"cond_means": [-0.79788456080286541, 0.79788456080286541], '
-    '"max_error_std": 0.12065604967149612}}\n'
+    '"max_error_std": 0.1206560496714961}}\n'
 )
 _LITERAL_LP = (
     '\\ losslin @V@: piecewise linear bounds for target loss, normal(mu=-12.3, sigma=0.37)\n'
@@ -174,7 +181,7 @@ _LITERAL_LP = (
 
 
 def _literal_report():
-    m, e = 0.7978845608028654, 0.12065604967149612
+    m, e = 0.7978845608028654, _N2_MAX_ERROR
     scale = NormalParams(-12.3, 0.37)
     part = Partition.from_boundaries((0.0,))
     assert (part.masses, part.cond_means, part.max_error) == ((0.5, 0.5), (-m, m), e)
@@ -184,7 +191,7 @@ def _literal_report():
                                            "lower", "loss", scale)
     assert report.upper == PiecewiseLinear((-m, m), slopes, (e, 0.5195983300729288, e),
                                            "upper", "loss", scale)
-    assert report.max_error == 0.04464273837845357
+    assert report.max_error == 0.044642738378453554
     assert report.lower.breakpoints == (-12.59521728749706, -12.00478271250294)
     assert report.upper_error_locations == (-math.inf, -12.3, math.inf)
     return report
@@ -194,6 +201,15 @@ def test_literal_report_exports_are_pinned():
     report = _literal_report()
     assert to_json(report) == _LITERAL_JSON.replace("@V@", losslin.__version__)
     assert to_lp_constraints(report) == _LITERAL_LP.replace("@V@", losslin.__version__)
+
+
+def test_n2_max_error_pin_is_nearer_the_truth():
+    with mpmath.workdps(40):
+        m = mpmath.sqrt(2 / mpmath.pi)
+        exact = mpmath.npdf(m) - mpmath.npdf(0) + m * (mpmath.ncdf(m) - mpmath.mpf(1) / 2)
+        new, old = (abs(mpmath.mpf(v) - exact) for v in (_N2_MAX_ERROR, _N2_MAX_ERROR_UNGROUPED))
+    assert new < old
+    assert Partition.from_boundaries((0.0,)).max_error == _N2_MAX_ERROR
 
 
 def _reference_render(obj) -> str:

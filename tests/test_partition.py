@@ -23,6 +23,7 @@ from losslin import (
     solve_minimax,
 )
 from losslin import gaussian as gaussian_mod
+from losslin import loss_core as loss_core_mod
 from losslin import partition as partition_mod
 
 from reference_table import REFERENCE
@@ -263,23 +264,38 @@ class TestNewtonSystem:
                 solve_minimax(n)
         assert np.array_equal(info.value.best, partition_mod._expand_symmetric(start, n))
 
-    def test_jacobian_reuses_the_boundary_values(self, monkeypatch):
-        # Phi(b) and phi(b) come from the residual pass; only Phi(m) is new
-        stats = partition_mod._symmetric_stats(self.perturbed_point(101), 101)
+    @staticmethod
+    def counting_kernels(monkeypatch):
+        """Names of the gaussian and loss_core kernels called, in call order."""
         calls = []
 
-        def counting(name):
-            kernel = getattr(gaussian_mod, name)
+        def counting(module, name):
+            kernel = getattr(module, name)
 
             def wrapper(x):
                 calls.append(name)
                 return kernel(x)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
         for name in ("cdf", "phi"):
-            monkeypatch.setattr(gaussian_mod, name, counting(name))
+            counting(gaussian_mod, name)
+        counting(loss_core_mod, "closs_std")
+        return calls
+
+    def test_jacobian_reuses_the_boundary_values(self, monkeypatch):
+        # dPhi and phi(b) come from the residual pass; nothing is evaluated
+        stats = partition_mod._symmetric_stats(self.perturbed_point(101), 101)
+        calls = self.counting_kernels(monkeypatch)
         partition_mod._reduced_jacobian(stats, 101)
-        assert calls == ["cdf"]
+        assert calls == []
+
+    def test_region_stats_evaluates_each_kernel_twice(self, monkeypatch):
+        # Phi and phi once on the boundaries and once on the conditional means
+        upper = partition_mod._expand_symmetric(self.perturbed_point(101), 101)
+        calls = self.counting_kernels(monkeypatch)
+        partition_mod._region_stats(np.append(upper, math.inf))
+        assert sorted(calls) == ["cdf", "cdf", "phi", "phi"]
+        assert not hasattr(partition_mod, "closs_std")
 
     def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls):
         # every size to 300, then a stride up to the CLI cap of 10000 regions
