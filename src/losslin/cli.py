@@ -7,11 +7,10 @@ the command line follow the user-facing convention (the lower bound's
 segment count, which is one more than the number of partition regions).
 
 Each option's default is set once, in the parser; ``losslin SUBCOMMAND
---help`` shows it.  ``table`` and ``bounds`` solve with --tol, which
-defaults to the library's DEFAULT_TOL.  The library checks mu, sigma and
-tol; the CLI checks only its own size caps.  Every check runs before any
-solve, and a failed solve writes nothing: ``table`` exits 1 naming the
-first segment count that failed.
+--help`` shows it.  The library checks mu and sigma; the CLI checks only
+its own size caps.  Every check runs before any solve, a usage error
+exits 1 like every other error, and a failed solve writes nothing:
+``table`` exits 1 naming the first segment count that failed.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .bounds import build_report
 from .errors import InvalidParameterError, LossLinError
 from .export_io import plot_data, to_csv_table, to_json, to_lp_constraints
 from .loss_core import NormalParams, closs, loss
-from .partition import DEFAULT_TOL, check_tol, parameter_table, solve_minimax
+from .partition import parameter_table, solve_minimax
 
 __all__ = ["main", "entry_point"]
 
@@ -51,6 +50,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -67,8 +70,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="complementary loss or loss (default %(default)s)")
 
     def solver(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="solver tolerance (default %(default)g)")
         p.add_argument("--out", help="output path (default stdout)")
 
     p_eval = sub.add_parser("eval", help="exact loss value at a point")
@@ -113,18 +114,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    check_tol(args.tol)
     _in_range("max segments", args.max_segments, _MAX_SEGMENTS_CAP)
-    _write(to_csv_table(parameter_table(args.max_segments, args.tol)), args.out)
+    _write(to_csv_table(parameter_table(args.max_segments)), args.out)
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     _in_range("segments", args.segments, _MAX_BOUNDS_SEGMENTS)
     scale = NormalParams(args.mu, args.sigma)
-    check_tol(args.tol)
     _in_range("n-points", args.n_points, _MAX_PLOT_POINTS)
-    part = solve_minimax(args.segments - 1, tol=args.tol)
+    part = solve_minimax(args.segments - 1)
     report = build_report(part, scale, args.target)
     if args.fmt == "json":
         text = to_json(report)

@@ -144,14 +144,23 @@ def to_json(report: BoundReport) -> str:
 _SECTIONS = ("metadata", "lower", "upper", "partition")
 
 
+def _reject_constant(name: str):
+    raise InvalidParameterError(f"{name} is not a JSON number")
+
+
+# built once: json.loads with a keyword argument builds a decoder per call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def from_json(text: str) -> ExportBundle:
     """Parse a JSON coefficient bundle back into an ExportBundle.
 
-    The document and each of its four sections must be JSON objects.
+    text must be a str.  The document and each of its four sections must be
+    JSON objects; NaN, Infinity and -Infinity, which are not JSON, are rejected.
     """
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # malformed JSON, bad UTF-8, over-long integer
+        doc = _DECODER.decode(text)
+    except (TypeError, ValueError) as exc:  # not a str, malformed, over-long integer, NaN
         raise InvalidParameterError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidParameterError("bundle must be a JSON object")

@@ -32,7 +32,7 @@ is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
 density.  Newton starts from the N(0, 2) quantiles, a few hundredths from
 the solution for every N, and takes full steps only; the step after
-meeting the tolerance polishes the result to rounding level.
+the residual falls to 1e-10 polishes the result to rounding level.
 """
 
 from __future__ import annotations
@@ -55,13 +55,11 @@ __all__ = [
     "solve_minimax",
     "parameter_table",
     "check_count",
-    "check_tol",
-    "DEFAULT_TOL",
 ]
 
 _log = logging.getLogger(__name__)
 
-DEFAULT_TOL = 1e-10
+_TOL = 1e-10
 
 _MAX_ITER = 200
 
@@ -261,13 +259,6 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     return u + d_eps * v, d_eps
 
 
-def check_tol(tol: float) -> float:
-    """Return tol if it is a usable solver tolerance: positive and finite."""
-    if not 0.0 < tol < math.inf:
-        raise InvalidParameterError("tol must be a positive finite number")
-    return tol
-
-
 def check_count(value, minimum: int, message: str) -> int:
     """Return value as an int if it is an integer >= minimum, else raise message.
 
@@ -289,7 +280,7 @@ _SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d passes=%d "
                  "polish_kept=%s residual=%.3g")
 
 
-def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
+def solve_minimax(n_regions: int) -> Partition:
     """Solve the equal-error system for an N-region minimax partition.
 
     Unknowns are the strictly negative interior boundaries plus the common
@@ -302,8 +293,8 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     finite boundaries, regions of positive mass and a smaller reduced
     residual; a rejected step before convergence raises SolverError with
     the best point.  Once the residuals e_1 - e_k over all breakpoints
-    have norm <= tol, one more step polishes the result, kept on the same
-    terms.  N = 1 and N = 2 are returned analytically.
+    have norm <= 1e-10 (_TOL), one more step polishes the result, kept on
+    the same terms.  N = 1 and N = 2 are returned analytically.
 
     Each call logs one DEBUG record on the losslin.partition logger: N,
     Newton iterations, region-statistics passes (including the one that
@@ -312,7 +303,6 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     """
     n_regions = check_count(n_regions, 1,
                             f"n_regions must be a positive integer, got {n_regions!r}")
-    check_tol(tol)
 
     if n_regions <= 2:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
@@ -336,8 +326,8 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
     while True:
         residual = _full_residual_norm(stats[3])
         # Newton converges quadratically, so a step from a point that meets
-        # tol lands at rounding level; that polishing step is the last
-        polishing = residual <= tol
+        # _TOL lands at rounding level; that polishing step is the last
+        polishing = residual <= _TOL
         if not polishing and iterations == _MAX_ITER:
             raise SolverError(
                 f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
@@ -360,7 +350,7 @@ def solve_minimax(n_regions: int, tol: float = DEFAULT_TOL) -> Partition:
         if not kept:
             raise SolverError(
                 f"Newton iteration stalled for {n_regions} regions"
-                f" at residual {residual:.3g} > tol {tol:.3g}",
+                f" at residual {residual:.3g} > tol {_TOL:.3g}",
                 best=_expand_symmetric(neg, n_regions),
                 residual=residual,
             )
@@ -376,7 +366,7 @@ def _full_residual_norm(e: np.ndarray) -> float:
     return float(np.linalg.norm(e[0] - e[1:]))
 
 
-def parameter_table(max_segments: int, tol: float = DEFAULT_TOL) -> list[Partition]:
+def parameter_table(max_segments: int) -> list[Partition]:
     """Minimax partitions for every segment count 2..max_segments.
 
     Segment count refers to the piecewise-linear lower bound, which has
@@ -386,7 +376,7 @@ def parameter_table(max_segments: int, tol: float = DEFAULT_TOL) -> list[Partiti
     rows = []
     for segments in range(2, max_segments + 1):
         try:
-            rows.append(solve_minimax(segments - 1, tol=tol))
+            rows.append(solve_minimax(segments - 1))
         except SolverError as exc:
             raise SolverError(
                 f"segment count {segments}: {exc}",

@@ -21,6 +21,7 @@ from losslin import (
     to_json,
     to_lp_constraints,
 )
+from losslin import partition as partition_mod
 from losslin.cli import _MAX_BOUNDS_SEGMENTS, _MAX_PLOT_POINTS, main
 
 from reference_table import REFERENCE
@@ -30,6 +31,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def parser_exit(capsys, *argv):
+    """Like run, for an invocation that the parser ends: it exits, not returns."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
 
 
 class TestEval:
@@ -101,10 +110,11 @@ class TestTable:
         assert "30" in err
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    def test_failing_size_writes_nothing(self, capsys, tmp_path, to_file):
+    def test_failing_size_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
         # N = 1 and 2 are analytic; the first Newton solve, 4 segments, stalls
+        monkeypatch.setattr(partition_mod, "_TOL", 1e-30)
         target = tmp_path / "table.csv"
-        argv = ("table", "--max", "4", "--tol", "1e-30")
+        argv = ("table", "--max", "4")
         rc, out, err = run(capsys, *argv, *(("--out", str(target)) if to_file else ()))
         assert rc == 1
         assert out == ""
@@ -194,8 +204,9 @@ class TestBounds:
         assert out == ""
         assert err == f"error: n-points must lie in 2..{_MAX_PLOT_POINTS}\n"
 
-    def test_tolerance_below_rounding_stalls_with_reason(self, capsys):
-        rc, out, err = run(capsys, "bounds", "--segments", "8", "--tol", "1e-30")
+    def test_tolerance_below_rounding_stalls_with_reason(self, capsys, monkeypatch):
+        monkeypatch.setattr(partition_mod, "_TOL", 1e-30)
+        rc, out, err = run(capsys, "bounds", "--segments", "8")
         assert rc == 1
         assert out == ""
         assert re.fullmatch(r"error: Newton iteration stalled for 7 regions "
@@ -228,20 +239,21 @@ class TestMatchesLibrary:
 
 
 class TestEnvironmentTolerance:
-    """--tol is the only source of the solver tolerance; no variable is read."""
+    """The solver tolerance is built in: --tol is an unknown option, and no
+    environment variable is read."""
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1e-8"])
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("argv", [
         ("table", "--max", "4"), ("bounds", "--segments", "5")])
     def test_invalid_tol_rejected(self, capsys, tmp_path, argv, to_file, tol):
         target = tmp_path / "out.txt"
         argv = (*argv, "--tol", tol) + (("--out", str(target)) if to_file else ())
-        rc, out, err = run(capsys, *argv)
+        rc, out, err = parser_exit(capsys, *argv)
         assert rc == 1
         assert out == ""
         assert not target.exists()
-        assert err == "error: tol must be a positive finite number\n"
+        assert err.endswith(f"\nerror: unrecognized arguments: --tol {tol}\n")
 
     def test_eval_ignores_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LOSSLIN_TOL", "abc")
@@ -271,18 +283,39 @@ class TestOptionChecks:
         (("bounds", "--segments", "1"), f"segments must lie in 2..{_MAX_BOUNDS_SEGMENTS}"),
         (("table", "--max", "31"), "max segments must lie in 2..30"),
         (("eval", "--x", "0", "--sigma", "0"), "sigma must be positive, got 0.0"),
-        (("table", "--tol=-1e-9"), "tol must be a positive finite number"),
+        (("table", "--max", "1"), "max segments must lie in 2..30"),
         (("bounds", "--segments", "3", "--n-points", "1"),
          f"n-points must lie in 2..{_MAX_PLOT_POINTS}"),
         (("bounds", "--segments", "3", "--mu", "nan"), "mu and sigma must be finite"),
         (("eval", "--x", "-inf"), "loss functions require finite arguments"),
-        (("table", "--tol", "-1e-9"), "tol must be a positive finite number"),
     ])
     def test_rejected_before_solving(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
         assert rc == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--segments", "abc"),
+        ("bounds", "--segments", "5", "--format", "xml"),
+        ("bounds", "--format", "json"),
+        ("solve",),
+    ], ids=["non-numeric", "bad-choice", "missing-segments", "bad-subcommand"])
+    def test_usage_error_exits_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        rc, out, err = parser_exit(capsys, *argv, "--out", str(target))
+        assert rc == 1
+        assert out == ""
+        assert not target.exists()
+        assert err.startswith("usage: losslin")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [(), ("eval",), ("table",), ("bounds",)])
+    def test_help_exits_0_without_tol(self, capsys, argv):
+        rc, out, err = parser_exit(capsys, *argv, "--help")
+        assert rc == 0
+        assert out.startswith("usage: losslin") and err == ""
+        assert "--tol" not in out
 
 
 class TestNegativeValues:

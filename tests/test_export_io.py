@@ -115,13 +115,27 @@ class TestJson:
             from_json('{"metadata": {}}')
 
     @pytest.mark.parametrize("text", [
-        "[]", "1", "nope", "", b"\xff{}", "9" * 5000,
+        "[]", "1", "nope", "", b"\xff{}", None, "9" * 5000,
         '{"metadata": 1, "lower": 2, "upper": 3, "partition": 4}',
         '{"metadata": {}, "lower": {}, "upper": [], "partition": {}}',
     ])
     def test_from_json_rejects_malformed_documents(self, text):
         with pytest.raises(InvalidParameterError):
             from_json(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_from_json_rejects_non_json_constants(self, constant):
+        # json.loads reads these, and to_text would write them back as nan/inf
+        text = to_json(build_report(solve_minimax(3))).replace(
+            '"mu": 0,', f'"mu": {constant},', 1)
+        assert constant in text
+        with pytest.raises(InvalidParameterError, match=f"{constant} is not a JSON number"):
+            from_json(text)
+
+    def test_from_json_reads_text_only(self):
+        text = to_json(build_report(solve_minimax(3)))
+        with pytest.raises(InvalidParameterError, match="^bundle is not valid JSON: "):
+            from_json(text.encode())
 
 
 # The export bytes of the report of the boundary 0 at NormalParams(-12.3, 0.37)

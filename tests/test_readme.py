@@ -2,7 +2,10 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from losslin.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +25,18 @@ def test_quick_start_runs():
             else:
                 exec(source, namespace)
     assert any(c.startswith("report == build_report(") for c in checked)
+
+
+def test_cli_block_runs(tmp_path):
+    """Each losslin line of README.md's CLI block exits 0, and none uses --tol."""
+    (block,) = re.findall(r"## CLI\n.*?```\n(.*?)```", README.read_text(), re.DOTALL)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "losslin" for argv in commands)
+    for argv in commands:
+        assert "--tol" not in argv, argv
+        if "--out" in argv:
+            # keep the example's output file out of the working directory
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "data.csv").is_file()
