@@ -4,6 +4,9 @@ All decimal output uses 17 significant digits, which round-trips IEEE
 doubles exactly, and key order is fixed, so identical inputs always
 produce byte-identical text.  Unbounded segment edges are encoded as
 ``null`` rather than infinity sentinels.
+
+to_json fills the bundle's fixed schema in from the report; ExportBundle
+is only the parsed form that from_json returns.
 """
 
 from __future__ import annotations
@@ -34,19 +37,22 @@ __all__ = [
 
 TOOL_NAME = "losslin"
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# the one real format of the JSON and CSV exports
+_REAL = "%.17g"
+_fmt = _REAL.__mod__
 
 
 def _render(obj) -> str:
     """Deterministic JSON rendering with 17-significant-digit reals.
 
     Floats are tested first as they are most of a bundle; keys and strings
-    are escaped by the C encoder behind json.dumps.
+    are escaped by the C encoder behind json.dumps.  A non-finite float has
+    no JSON spelling and is rejected.
     """
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        if math.isfinite(obj):
+            return _fmt(obj)
+        raise InvalidParameterError(f"{obj} is not a JSON number")
     if isinstance(obj, dict):
         try:
             items = [f"{_quote(k)}: {_render(v)}" for k, v in obj.items()]
@@ -66,90 +72,74 @@ def _render(obj) -> str:
     raise InvalidParameterError(f"cannot serialize {type(obj).__name__}")
 
 
-def _segment_rows(pl: PiecewiseLinear, bp: tuple[float, ...]) -> list[dict]:
-    last = len(bp)  # one segment more than breakpoints
-    rows = []
-    for i, (s, c) in enumerate(zip(pl.slopes, pl.intercepts)):
-        rows.append({
-            "slope": float(s),
-            "intercept": float(c),
-            "domain_low": None if i == 0 else float(bp[i - 1]),
-            "domain_high": None if i == last else float(bp[i]),
-        })
-    return rows
-
-
-def _bound_block(pl: PiecewiseLinear, error_locations) -> dict:
-    bp = pl.breakpoints
-    return {
-        "kind": pl.kind,
-        "segments": _segment_rows(pl, bp),
-        "breakpoints": [float(b) for b in bp],
-        "error_locations": [None if math.isinf(x) else float(x)
-                            for x in error_locations],
-    }
+_SECTIONS = ("metadata", "lower", "upper", "partition")
 
 
 @dataclass(frozen=True)
 class ExportBundle:
-    """Parsed form of the JSON coefficient document."""
+    """Parsed form of the JSON coefficient document, as from_json returns it;
+    to_text renders whatever its sections hold with the generic renderer."""
 
     metadata: dict
     lower: dict
     upper: dict
     partition: dict
 
-    @classmethod
-    def from_report(cls, report: BoundReport) -> "ExportBundle":
-        part, lower, scale = report.partition, report.lower, report.scale
-        metadata = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "segment_count": lower.n_segments,
-            "target": report.target,
-            "kind": "lower_upper_pair",
-            "mu": float(scale.mu),
-            "sigma": float(scale.sigma),
-            "max_error": float(report.max_error),
-        }
-        partition = {
-            "upper_limits": [None if math.isinf(b) else float(b)
-                             for b in part.upper_limits],
-            "masses": [float(p) for p in part.masses],
-            "cond_means": [float(m) for m in part.cond_means],
-            "max_error_std": float(part.max_error),
-        }
-        return cls(
-            metadata=metadata,
-            lower=_bound_block(lower, lower.breakpoints),
-            upper=_bound_block(report.upper, report.upper_error_locations),
-            partition=partition,
-        )
-
     def to_text(self) -> str:
-        doc = {
-            "metadata": self.metadata,
-            "lower": self.lower,
-            "upper": self.upper,
-            "partition": self.partition,
-        }
-        return _render(doc) + "\n"
+        return _render({name: getattr(self, name) for name in _SECTIONS}) + "\n"
+
+
+# The bundle schema; every %s is a value already spelled as JSON.
+_METADATA = ('{"tool": %s, "version": %s, "segment_count": %d, "target": %s,'
+             ' "kind": "lower_upper_pair", "mu": %s, "sigma": %s, "max_error": %s}')
+_BLOCK = '{"kind": "%s", "segments": [%s], "breakpoints": [%s], "error_locations": [%s]}'
+# the intercept is left as a _REAL format, which each block fills
+_ROW = '{"slope": %s, "intercept": %%.17g, "domain_low": %s, "domain_high": %s}'
+_PARTITION = '{"upper_limits": [%s], "masses": [%s], "cond_means": [%s], "max_error_std": %s}'
+_DOCUMENT = '{"metadata": %s, "lower": %s, "upper": %s, "partition": %s}\n'
+_NULL = ("null",)
+
+
+def _reals(values, head=(), tail=()) -> str:
+    """A JSON list body: head, values and tail, the values formatted by one %."""
+    return ", ".join([*head, *[_REAL] * len(values), *tail]) % tuple(values)
 
 
 def to_json(report: BoundReport) -> str:
-    """Serialize a bound report to the JSON coefficient bundle."""
-    return ExportBundle.from_report(report).to_text()
+    """Serialize a bound report to the JSON coefficient bundle.
 
-
-_SECTIONS = ("metadata", "lower", "upper", "partition")
+    The upper bound is the lower chain lifted, so both blocks share the
+    lower bound's breakpoints and slopes: they are formatted once into the
+    segment rows, and each block fills in its own intercepts.  Segment i
+    spans breakpoints i-1 to i, null past either end.
+    """
+    part, lower, scale = report.partition, report.lower, report.scale
+    bp = list(map(_fmt, lower.breakpoints))
+    slopes = map(_fmt, lower.slopes)
+    rows = ", ".join(map(_ROW.__mod__, zip(slopes, ["null", *bp], [*bp, "null"])))
+    breakpoints = ", ".join(bp)
+    return _DOCUMENT % (
+        _METADATA % (_quote(TOOL_NAME), _quote(__version__), lower.n_segments,
+                     _quote(report.target), _fmt(float(scale.mu)),
+                     _fmt(float(scale.sigma)), _fmt(report.max_error)),
+        _BLOCK % ("lower", rows % lower.intercepts, breakpoints, breakpoints),
+        _BLOCK % ("upper", rows % report.upper.intercepts, breakpoints,
+                  _reals(report.upper_error_locations[1:-1], _NULL, _NULL)),
+        _PARTITION % (_reals(part.upper_limits[:-1], tail=_NULL), _reals(part.masses),
+                      _reals(part.cond_means), _fmt(part.max_error)))
 
 
 def _reject_constant(name: str):
     raise InvalidParameterError(f"{name} is not a JSON number")
 
 
+def _parse_int(text: str):
+    # to_json writes a float negative zero as -0, and an int has no sign of zero
+    return -0.0 if text == "-0" else int(text)
+
+
 # built once: json.loads with a keyword argument builds a decoder per call
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_parse_int)
 
 
 def from_json(text: str) -> ExportBundle:
@@ -157,6 +147,7 @@ def from_json(text: str) -> ExportBundle:
 
     text must be a str.  The document and each of its four sections must be
     JSON objects; NaN, Infinity and -Infinity, which are not JSON, are rejected.
+    The literal -0 is read as the float -0.0, so that to_text writes it back.
     """
     try:
         doc = _DECODER.decode(text)

@@ -1,11 +1,12 @@
 import json
 import math
 import re
+from functools import cache
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -132,6 +133,13 @@ class TestJson:
         with pytest.raises(InvalidParameterError, match=f"{constant} is not a JSON number"):
             from_json(text)
 
+    def test_negative_zero_survives_the_round_trip(self):
+        text = to_json(build_report(solve_minimax(3), NormalParams(-0.0, 1.0)))
+        assert '"mu": -0,' in text
+        mu = from_json(text).metadata["mu"]
+        assert mu == 0.0 and math.copysign(1.0, mu) == -1.0
+        assert from_json(text).to_text() == text
+
     def test_from_json_reads_text_only(self):
         text = to_json(build_report(solve_minimax(3)))
         with pytest.raises(InvalidParameterError, match="^bundle is not valid JSON: "):
@@ -244,16 +252,72 @@ def _reference_render(obj) -> str:
     raise TypeError(type(obj).__name__)
 
 
+def _reference_doc(report: BoundReport) -> dict:
+    """The bundle schema filled from the report's public fields, each block
+    from its own bound."""
+
+    def block(pl: PiecewiseLinear, error_locations) -> dict:
+        bp = pl.breakpoints
+        segments = [{"slope": float(s), "intercept": float(c),
+                     "domain_low": None if i == 0 else float(bp[i - 1]),
+                     "domain_high": None if i == len(bp) else float(bp[i])}
+                    for i, (s, c) in enumerate(zip(pl.slopes, pl.intercepts))]
+        return {"kind": pl.kind, "segments": segments,
+                "breakpoints": [float(b) for b in bp],
+                "error_locations": [None if math.isinf(x) else float(x)
+                                    for x in error_locations]}
+
+    part, scale = report.partition, report.scale
+    return {
+        "metadata": {"tool": "losslin", "version": losslin.__version__,
+                     "segment_count": report.lower.n_segments, "target": report.target,
+                     "kind": "lower_upper_pair", "mu": float(scale.mu),
+                     "sigma": float(scale.sigma), "max_error": float(report.max_error)},
+        "lower": block(report.lower, report.lower.breakpoints),
+        "upper": block(report.upper, report.upper_error_locations),
+        "partition": {"upper_limits": [None if math.isinf(b) else float(b)
+                                       for b in part.upper_limits],
+                      "masses": [float(p) for p in part.masses],
+                      "cond_means": [float(m) for m in part.cond_means],
+                      "max_error_std": float(part.max_error)},
+    }
+
+
 @pytest.mark.parametrize("scale", [NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37)],
                          ids=["standard", "scaled"])
 @pytest.mark.parametrize("target", ["closs", "loss"])
 @pytest.mark.parametrize("segments", [2, 5, 12, 31])
 def test_json_matches_the_reference_renderer(segments, target, scale):
     report = build_report(solve_minimax(segments - 1), scale, target)
-    b = export_io.ExportBundle.from_report(report)
-    doc = {"metadata": b.metadata, "lower": b.lower, "upper": b.upper,
-           "partition": b.partition}
-    assert to_json(report) == _reference_render(doc) + "\n"
+    assert to_json(report) == _reference_render(_reference_doc(report)) + "\n"
+
+
+@cache
+def _solved(segments: int) -> Partition:
+    return solve_minimax(segments - 1)
+
+
+_MAGNITUDES = st.floats(min_value=1e-3, max_value=1e12)
+
+
+@settings(max_examples=100, deadline=None)
+@example(segments=1000, target="closs", mu=-3.5e9, sigma=0.02)
+@example(segments=1000, target="loss", mu=0.0, sigma=1.0)
+@example(segments=2, target="closs", mu=-0.0, sigma=1.0)
+@given(
+    segments=st.integers(min_value=2, max_value=40),
+    target=st.sampled_from(("closs", "loss")),
+    mu=st.one_of(st.sampled_from((0.0, -0.0)), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m)),
+    sigma=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_json_is_the_reference_rendering_byte_for_byte(segments, target, mu, sigma):
+    try:
+        report = build_report(_solved(segments), NormalParams(mu, sigma), target)
+    except InvalidParameterError:  # a domain-scale value is not finite
+        assume(False)
+    text = to_json(report)
+    assert text == _reference_render(_reference_doc(report)) + "\n"
+    assert from_json(text).to_text() == text
 
 
 class TestRender:
@@ -280,6 +344,17 @@ class TestRender:
             export_io._render({"a": object()})
         with pytest.raises(InvalidParameterError):
             export_io._render({1: 2.0})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+    def test_non_finite_floats_are_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="is not a JSON number$"):
+            export_io._render({"x": [value]})
+
+    def test_overflowed_literal_is_not_written_back(self):
+        # 1e400 parses to inf, which has no JSON spelling
+        bundle = from_json('{"metadata": {"mu": 1e400}, "lower": {}, "upper": {}, "partition": {}}')
+        with pytest.raises(InvalidParameterError, match="^inf is not a JSON number$"):
+            bundle.to_text()
 
 
 def test_exports_carry_the_package_version():
