@@ -1,16 +1,14 @@
 """Piecewise-linear lower and upper bounds of the (complementary) loss function.
 
-Bounds are composed in standard scale and carry a NormalParams scale; the
-domain-scale view (breakpoints shifted by mu, intercepts rescaled) is
-derived once, on construction, through affine arithmetic and must be
-finite.  The lower bound collects the tangents of the complementary loss
-at the partition boundaries; the upper bound is either that lower bound
-shifted up by its maximum error or a chord construction over
-caller-chosen breakpoints, with a horizontal line and a unit-slope line
-covering the two unbounded extreme regions.
-
-A "loss" target applies the shear closs(x) - (x - mu) to every segment,
-so exported coefficients are directly usable for either function.
+Each bound is a chain validated once, in standard scale for the closs
+target, and returned as its view at a NormalParams scale and a target:
+breakpoints sigma t + mu, intercepts sigma c - s mu and, for the "loss"
+target, slopes s - 1, the shear closs(x) - (x - mu).  These maps are
+affine and keep the chain valid, so a view checks only that it is finite.
+The lower bound collects the tangents of the complementary loss at the
+partition boundaries, built once per partition; the upper bound is that
+chain lifted by its maximum error or a chord construction over
+caller-chosen breakpoints.
 """
 
 from __future__ import annotations
@@ -48,8 +46,9 @@ class PiecewiseLinear:
     std_* fields hold the canonical standard-scale data (one more segment
     than breakpoints; outer segments unbounded), stored as tuples of Python
     floats whatever sequence was passed.  The breakpoints, slopes and
-    intercepts properties expose the domain-scale view, which construction
-    computes once and rejects unless every value is finite.
+    intercepts properties expose the domain-scale data, which construction
+    computes once and rejects unless every value is finite.  The builders
+    return views of chains validated here in standard scale.
     """
 
     std_breakpoints: tuple[float, ...]
@@ -62,11 +61,9 @@ class PiecewiseLinear:
     _intercepts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_scale(self.scale)
+        _check_view(self.scale, self.target)
         if self.kind not in ("lower", "upper"):
             raise InvalidParameterError(f"unknown kind {self.kind!r}")
-        if self.target not in ("closs", "loss"):
-            raise InvalidParameterError(f"unknown target {self.target!r}")
         bp = np.asarray(self.std_breakpoints, dtype=float)
         s = np.asarray(self.std_slopes, dtype=float)
         c = np.asarray(self.std_intercepts, dtype=float)
@@ -78,8 +75,7 @@ class PiecewiseLinear:
             jump = (s[1:] - s[:-1]) * bp + (c[1:] - c[:-1])
             if np.max(np.abs(jump)) > 1e-10:
                 raise InvalidParameterError("adjacent segments must agree at breakpoints")
-        shear = -1.0 if self.target == "loss" else 0.0
-        base = s - shear
+        base = s + (1.0 if self.target == "loss" else 0.0)
         if abs(base[0]) > 1e-12 or abs(base[-1] - 1.0) > 1e-12:
             raise InvalidParameterError("extreme slopes must match the asymptotes of the target")
         ds = np.diff(s)
@@ -87,19 +83,9 @@ class PiecewiseLinear:
             raise InvalidParameterError("lower-bound slopes must be strictly increasing")
         if self.kind == "upper" and np.any(ds < 0):
             raise InvalidParameterError("upper-bound slopes must be nondecreasing")
-        object.__setattr__(self, "std_breakpoints", tuple(bp.tolist()))
-        object.__setattr__(self, "std_slopes", tuple(s.tolist()))
-        object.__setattr__(self, "std_intercepts", tuple(c.tolist()))
-        mu, sigma = self.scale.mu, self.scale.sigma
-        breakpoints = tuple(sigma * t + mu for t in self.std_breakpoints)
-        intercepts = tuple(sigma * c - s * mu
-                           for s, c in zip(self.std_slopes, self.std_intercepts))
-        if not all(map(math.isfinite, breakpoints + intercepts)):
-            raise InvalidParameterError(
-                f"domain-scale breakpoints and intercepts must be finite"
-                f" (mu={mu!r}, sigma={sigma!r})")
-        object.__setattr__(self, "_breakpoints", breakpoints)
-        object.__setattr__(self, "_intercepts", intercepts)
+        vars(self).update(std_breakpoints=tuple(bp.tolist()), std_slopes=tuple(s.tolist()),
+                          std_intercepts=tuple(c.tolist()))
+        _place(self)
 
     @property
     def n_segments(self) -> int:
@@ -132,12 +118,48 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
     return pl.std_slopes[idx] * x + pl._intercepts[idx]
 
 
-def _shear(slopes: tuple[float, ...], target: str) -> tuple[float, ...]:
-    """Slopes for target; PiecewiseLinear rejects a target other than
-    "closs" and "loss"."""
-    if target == "loss":
-        return tuple(s - 1.0 for s in slopes)
-    return slopes
+def _place(pl: PiecewiseLinear) -> None:
+    """Set pl's domain-scale data from its standard data; raises unless finite."""
+    mu, sigma = pl.scale.mu, pl.scale.sigma
+    breakpoints = tuple(sigma * t + mu for t in pl.std_breakpoints)
+    intercepts = tuple(sigma * c - s * mu for s, c in zip(pl.std_slopes, pl.std_intercepts))
+    if not all(map(math.isfinite, breakpoints + intercepts)):
+        raise InvalidParameterError(
+            f"domain-scale breakpoints and intercepts must be finite"
+            f" (mu={mu!r}, sigma={sigma!r})")
+    vars(pl).update(_breakpoints=breakpoints, _intercepts=intercepts)
+
+
+def _view(std: PiecewiseLinear, scale: NormalParams, target: str) -> PiecewiseLinear:
+    """std, a validated standard-scale closs chain, at scale and target.
+
+    The maps (see the module docstring) keep continuity, slope order and
+    the asymptotes, so only the scale, the target and finiteness are checked.
+    """
+    _check_view(scale, target)
+    view = object.__new__(PiecewiseLinear)
+    vars(view).update(
+        std_breakpoints=std.std_breakpoints,
+        std_slopes=std.std_slopes if target == "closs" else tuple(s - 1.0 for s in std.std_slopes),
+        std_intercepts=std.std_intercepts, kind=std.kind, target=target, scale=scale)
+    _place(view)
+    return view
+
+
+def _standard_chain(partition: Partition):
+    """(breakpoint-error spread, tangent chain, lifted chain) of partition,
+    validated in standard scale on first use and kept on the partition."""
+    chain = partition._chain
+    if chain is None:
+        interior, bp = np.asarray(partition.upper_limits[:-1]), partition.cond_means
+        slopes = (0.0, *gaussian.cdf(interior).tolist(), 1.0)
+        intercepts = (0.0, *gaussian.phi(interior).tolist(), 0.0)
+        lifted = tuple(c + partition.max_error for c in intercepts)
+        lower = PiecewiseLinear(bp, slopes, intercepts, "lower", "closs", STANDARD)
+        upper = PiecewiseLinear(bp, slopes, lifted, "upper", "closs", STANDARD)
+        chain = (breakpoint_errors(partition).spread, lower, upper)
+        object.__setattr__(partition, "_chain", chain)
+    return chain
 
 
 def build_lower(partition: Partition, scale: NormalParams = STANDARD,
@@ -146,21 +168,10 @@ def build_lower(partition: Partition, scale: NormalParams = STANDARD,
 
     In standard scale segment i is the tangent of the complementary loss
     at boundary b_i (slope Phi(b_i), intercept phi(b_i)); segment 0 is the
-    zero function and the breakpoints fall at the conditional means.
+    zero function and the breakpoints fall at the conditional means.  The
+    chain is validated once per partition; this is its view at scale and target.
     """
-    interior = np.asarray(partition.upper_limits[:-1], dtype=float)
-    mid_slopes = tuple(float(v) for v in np.atleast_1d(gaussian.cdf(interior)))
-    mid_intercepts = tuple(float(v) for v in np.atleast_1d(gaussian.phi(interior)))
-    slopes = (0.0, *mid_slopes, 1.0)
-    intercepts = (0.0, *mid_intercepts, 0.0)
-    return PiecewiseLinear(
-        std_breakpoints=partition.cond_means,
-        std_slopes=_shear(slopes, target),
-        std_intercepts=intercepts,
-        kind="lower",
-        target=target,
-        scale=scale,
-    )
+    return _view(_standard_chain(partition)[1], scale, target)
 
 
 def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
@@ -169,9 +180,10 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
 
     Adjacent breakpoints are joined by the chord of the complementary
     loss; the unbounded extreme regions get the horizontal line through
-    the first point and the unit-slope line through the last.
+    the first point and the unit-slope line through the last.  The chain
+    is validated in standard scale; this is its view at scale and target.
     """
-    _check_scale(scale)
+    _check_view(scale, target)
     pts = np.asarray(tuple(domain_breakpoints), dtype=float)
     if pts.size == 0:
         raise InvalidParameterError("need at least one breakpoint")
@@ -179,22 +191,11 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
         raise InvalidParameterError("breakpoints must be finite and strictly increasing")
     t = (pts - scale.mu) / scale.sigma
     v = np.atleast_1d(closs_std(t))
-    slopes = [0.0]
-    intercepts = [float(v[0])]
-    for a, b, va, vb in zip(t[:-1], t[1:], v[:-1], v[1:]):
-        alpha = (vb - va) / (b - a)
-        slopes.append(float(alpha))
-        intercepts.append(float(va - alpha * a))
-    slopes.append(1.0)
-    intercepts.append(float(v[-1] - t[-1]))
-    return PiecewiseLinear(
-        std_breakpoints=tuple(float(x) for x in t),
-        std_slopes=_shear(tuple(slopes), target),
-        std_intercepts=tuple(intercepts),
-        kind="upper",
-        target=target,
-        scale=scale,
-    )
+    alpha = np.diff(v) / np.diff(t)
+    std = PiecewiseLinear(t, (0.0, *alpha.tolist(), 1.0),
+                          (v[0], *(v[:-1] - alpha * t[:-1]).tolist(), v[-1] - t[-1]),
+                          "upper", "closs", STANDARD)
+    return _view(std, scale, target)
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,10 @@ class BoundReport:
 
     A report is its partition, scale and target, the only constructor
     arguments.  Construction rejects a partition whose breakpoint errors
-    spread by more than 1e-6 or more than 1e-5 * max_error, then derives
-    the tangent lower bound (build_lower) and the upper bound, that chain
-    with every standard intercept lifted by the partition's maximum error.
+    spread by more than 1e-6 or more than 1e-5 * max_error.  Its bounds
+    are views (build_lower) of the partition's tangent chain and of that
+    chain with every standard intercept lifted by the partition's maximum
+    error, both validated once per partition.
     The lower bound's error peaks at its breakpoints, the rescaled
     conditional means; the upper bound's at upper_error_locations, the
     rescaled region boundaries and +-infinity.  Both peaks equal max_error,
@@ -222,24 +224,15 @@ class BoundReport:
         part = self.partition
         if not isinstance(part, Partition):
             raise InvalidParameterError("partition must be a Partition instance")
-        spread = breakpoint_errors(part).spread
+        spread, lower, upper = _standard_chain(part)
         limit = min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * part.max_error)
         if spread > limit:
             raise InvalidParameterError(
                 f"shift construction needs an equal-error partition (spread {spread:.3e} >"
                 f" {limit:.3e}, the lesser of {_EQUAL_ERROR_SPREAD:g} and"
                 f" {_EQUAL_ERROR_RELATIVE:g} * max_error)")
-        lower = build_lower(part, self.scale, self.target)
-        upper = PiecewiseLinear(
-            std_breakpoints=lower.std_breakpoints,
-            std_slopes=lower.std_slopes,
-            std_intercepts=tuple(c + part.max_error for c in lower.std_intercepts),
-            kind="upper",
-            target=self.target,
-            scale=self.scale,
-        )
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", _view(lower, self.scale, self.target))
+        object.__setattr__(self, "upper", _view(upper, self.scale, self.target))
 
     @property
     def max_error(self) -> float:
@@ -304,6 +297,8 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
     return sigma * abs(float(margin[i])), sigma * float(where[i]) + mu
 
 
-def _check_scale(scale: NormalParams):
+def _check_view(scale: NormalParams, target: str):
     if not isinstance(scale, NormalParams):
         raise InvalidParameterError("scale must be a NormalParams instance")
+    if target not in ("closs", "loss"):
+        raise InvalidParameterError(f"unknown target {target!r}")

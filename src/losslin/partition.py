@@ -105,6 +105,8 @@ class Partition:
     cond_means: tuple[float, ...] = field(init=False)
     max_error: float = field(init=False)
     _errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # the standard-scale bound chain, which losslin.bounds fills on first use
+    _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:

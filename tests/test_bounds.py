@@ -22,12 +22,14 @@ from losslin import (
     build_lower,
     build_report,
     build_upper_chord,
+    cdf,
     closs,
     closs_std,
     evaluate,
     inv_cdf,
     loss,
     max_gap,
+    phi,
     solve_minimax,
 )
 
@@ -451,6 +453,96 @@ class TestBoundReport:
         for n in [*range(1, 301), *range(301, 10002, 97), 10000, 10001]:
             part = solve_minimax(n)
             assert BoundReport(part).partition is part
+
+
+def tangent_chain(p: Partition, target: str):
+    """Standard slopes and intercepts of p's tangent chain for target,
+    computed here from the boundaries."""
+    b = np.asarray(p.upper_limits[:-1])
+    slopes = np.concatenate(([0.0], cdf(b), [1.0])) - (1.0 if target == "loss" else 0.0)
+    intercepts = np.concatenate(([0.0], phi(b), [0.0]))
+    return slopes, intercepts
+
+
+def assert_same_bound(view: PiecewiseLinear, ref: PiecewiseLinear):
+    assert view == ref and hash(view) == hash(ref) and repr(view) == repr(ref)
+    for name in ("std_breakpoints", "std_slopes", "std_intercepts", "kind", "target",
+                 "scale", "breakpoints", "slopes", "intercepts", "n_segments"):
+        assert getattr(view, name) == getattr(ref, name), name
+    assert all(type(v) is float for v in view.breakpoints + view.slopes + view.intercepts)
+
+
+class TestStandardChainViews:
+    """A report's bounds are views of a chain validated once per partition;
+    every check on the scale, the target and the partition still runs per call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=st.one_of(st.integers(min_value=2, max_value=40), st.just(1000)),
+        mu=st.one_of(st.floats(min_value=1e-3, max_value=1e6),
+                     st.floats(min_value=-1e6, max_value=-1e-3),
+                     st.sampled_from((0.0, -0.0))),
+        sigma=st.floats(min_value=1e-3, max_value=1e3),
+        target=st.sampled_from(("closs", "loss")),
+    )
+    def test_views_equal_the_validating_construction(self, segments, mu, sigma, target):
+        p = solved(segments - 1)
+        scale = NormalParams(mu, sigma)
+        slopes, intercepts = tangent_chain(p, target)
+        report = BoundReport(p, scale, target)
+        assert_same_bound(report.lower, PiecewiseLinear(
+            p.cond_means, slopes, intercepts, "lower", target, scale))
+        assert_same_bound(report.upper, PiecewiseLinear(
+            p.cond_means, slopes, intercepts + p.max_error, "upper", target, scale))
+        assert_same_bound(build_lower(p, scale, target), report.lower)
+
+    @pytest.mark.parametrize("segments", [2, 10, 1000])
+    def test_the_cache_leaves_partition_identity_alone(self, segments):
+        fresh = Partition(solved(segments - 1).upper_limits)
+        twin = Partition(fresh.upper_limits)
+        before = hash(fresh), repr(fresh)
+        BoundReport(fresh, NormalParams(3.0, 2.0), "loss")
+        assert fresh._chain is not None and twin._chain is None
+        assert (hash(fresh), repr(fresh)) == before
+        assert fresh == twin and hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
+
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    def test_unequal_errors_are_rejected_on_every_report(self, target):
+        skew = Partition.from_boundaries((-1.0, 0.0, 1.0))
+        build_lower(skew, STANDARD, target)
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="equal-error"):
+                BoundReport(skew, STANDARD, target)
+
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    def test_a_non_finite_domain_scale_is_rejected_on_every_report(self, target):
+        p = Partition(solved(9).upper_limits)
+        huge = NormalParams(1e308, 1e308)
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
+                BoundReport(p, huge, target)
+            with pytest.raises(InvalidParameterError, match="must be finite"):
+                build_lower(p, huge, target)
+        report = BoundReport(p, STANDARD, target)
+        slopes, intercepts = tangent_chain(p, target)
+        assert_same_bound(report.lower, PiecewiseLinear(
+            p.cond_means, slopes, intercepts, "lower", target, STANDARD))
+        assert max_gap(report.lower)[0] == approx(p.max_error, rel=1e-12)
+
+    def test_bad_arguments_are_rejected_after_the_chain_is_built(self):
+        p = Partition(solved(5).upper_limits)
+        BoundReport(p)
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="^unknown target 'gain'$"):
+                BoundReport(p, STANDARD, "gain")
+            with pytest.raises(InvalidParameterError, match="^unknown target 'gain'$"):
+                build_lower(p, STANDARD, "gain")
+            with pytest.raises(InvalidParameterError, match="NormalParams"):
+                BoundReport(p, (0.0, 1.0))
+            with pytest.raises(InvalidParameterError, match="NormalParams"):
+                build_lower(p, (0.0, 1.0))
+            with pytest.raises(InvalidParameterError, match="Partition"):
+                BoundReport(p.upper_limits)
 
 
 class TestPiecewiseLinearValidation:
