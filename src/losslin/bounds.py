@@ -152,8 +152,8 @@ def _standard_chain(partition: Partition):
     chain = partition._chain
     if chain is None:
         interior, bp = np.asarray(partition.upper_limits[:-1]), partition.cond_means
-        slopes = (0.0, *gaussian.cdf(interior).tolist(), 1.0)
-        intercepts = (0.0, *gaussian.phi(interior).tolist(), 0.0)
+        big, small = gaussian._cdf_phi(interior, np.empty_like(interior), np.empty_like(interior))
+        slopes, intercepts = (0.0, *big.tolist(), 1.0), (0.0, *small.tolist(), 0.0)
         lifted = tuple(c + partition.max_error for c in intercepts)
         lower = PiecewiseLinear(bp, slopes, intercepts, "lower", "closs", STANDARD)
         upper = PiecewiseLinear(bp, slopes, lifted, "upper", "closs", STANDARD)

@@ -73,9 +73,8 @@ def closs_std(x):
     so those limits are returned exactly.
     """
     arr, scalar = _validated(x)
-    clipped = np.clip(arr, -gaussian.SATURATION, gaussian.SATURATION)
-    val = (gaussian._INV_SQRT_2PI * np.exp(-0.5 * clipped * clipped)
-           + gaussian._cdf_unchecked(clipped) * clipped)
+    big, small = gaussian._cdf_phi(arr, np.empty_like(arr), np.empty_like(arr))
+    val = small + big * arr
     val = np.where(arr < -gaussian.SATURATION, 0.0, val)
     val = np.where(arr > gaussian.SATURATION, arr, val)
     return float(val) if scalar else val

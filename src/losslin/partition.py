@@ -24,15 +24,16 @@ odd).  Each e_i depends only on its own region's two boundaries and has
 closed-form partials, so the Jacobian of the residuals e_i - eps is lower
 bidiagonal plus one column of -1s, and an exact Newton step costs O(N).
 The partials reuse Phi(m_i) - Phi(b_i) and phi(b_i) from the pass that
-computed the residuals, so a Newton iteration evaluates Phi and phi once at
-the boundaries and once at the conditional means, and nothing else.
+computed the residuals, so a Newton pass evaluates nothing but two fused
+Phi/phi kernel calls, one on the boundaries and one on the conditional means.
 
 For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
 density.  Newton starts from the N(0, 2) quantiles, a few hundredths from
 the solution for every N, and takes full steps only; the step after
-the residual falls to 1e-10 polishes the result to rounding level.
+the residual falls to 1e-10 polishes the result to rounding level.  The
+last accepted pass certifies the result; at N = 1000 a solve makes 5 passes.
 """
 
 from __future__ import annotations
@@ -67,24 +68,26 @@ _MAX_ITER = 200
 def _region_stats(upper: np.ndarray):
     """masses, conditional means and breakpoint errors for boundaries b_1..b_N,
     followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the solver's Jacobian
-    reuses; None if some region has no positive mass.
+    reuses; None if some region has no positive mass or finite conditional mean.
 
     b_N must be +inf and the interior boundaries finite (Partition and
-    _symmetric_stats check this first).  Phi and phi are evaluated once on
-    the interior boundaries, padded with their limits at -inf and +inf, and
-    once on the conditional means.  Positive masses imply strictly
-    increasing boundaries, so a None also rejects crossed ones.
+    _symmetric_stats check this first).  Two fused kernel calls evaluate Phi
+    and phi at the interior boundaries and at the conditional means.  Positive
+    masses imply strictly increasing boundaries, so None also rejects crossed ones.
     """
-    inner = upper[:-1]
-    big_phi = np.concatenate(([0.0], gaussian.cdf(inner), [1.0]))
-    small_phi = np.concatenate(([0.0], gaussian.phi(inner), [0.0]))
+    big_phi, small_phi = np.zeros(upper.size + 1), np.zeros(upper.size + 1)
+    big_phi[-1] = 1.0
+    gaussian._cdf_phi(upper[:-1], big_phi[1:-1], small_phi[1:-1])
     big_phi_hi, small_phi_hi = big_phi[1:], small_phi[1:]
     p = big_phi_hi - big_phi[:-1]
-    if not np.all(p > 0.0):
+    if not (p > 0.0).all():
         return None
     m = (small_phi[:-1] - small_phi_hi) / p
-    d_phi = gaussian.cdf(m) - big_phi_hi
-    e = (gaussian.phi(m) - small_phi_hi) + m * d_phi
+    if not np.isfinite(m).all():
+        return None
+    big_m, small_m = gaussian._cdf_phi(m, np.empty_like(m), np.empty_like(m))
+    d_phi = big_m - big_phi_hi
+    e = (small_m - small_phi_hi) + m * d_phi
     return p, m, e, d_phi, small_phi_hi
 
 
@@ -93,11 +96,11 @@ class Partition:
     """N adjacent regions of the standard normal support, given by their boundaries.
 
     upper_limits are b_1 < ... < b_N with b_N = +inf, and they are the only
-    constructor argument.  Construction validates them and derives the rest
-    from one pass of region statistics: masses and cond_means follow the
-    formulas in the module docstring, max_error is the largest breakpoint
-    error, and the breakpoint errors themselves are kept for
-    breakpoint_errors.  Instances can therefore be trusted downstream.
+    constructor argument.  Construction parses them and certifies one pass
+    of region statistics (_certify, which solve_minimax calls with its last
+    pass): masses and cond_means follow the formulas in the module docstring,
+    max_error is the largest breakpoint error, and the breakpoint errors are
+    kept for breakpoint_errors.  Instances can therefore be trusted downstream.
     """
 
     upper_limits: tuple[float, ...]
@@ -123,8 +126,10 @@ class Partition:
             raise InvalidParameterError("the last upper limit must be +inf")
         if b.size > 1 and (not np.all(np.isfinite(b[:-1])) or np.any(np.diff(b) <= 0)):
             raise InvalidParameterError("upper limits must be finite and strictly increasing")
+        self._certify(b, _region_stats(b))
 
-        stats = _region_stats(b)
+    def _certify(self, b: np.ndarray, stats) -> "Partition":
+        """Certify the _region_stats of parsed upper limits b, set every field; return self."""
         if stats is None:
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
         p, m, e, _, _ = stats
@@ -137,11 +142,10 @@ class Partition:
             raise InvalidParameterError("each conditional mean must lie inside its region")
         if abs(float(np.dot(p, m))) > 1e-10:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
-        object.__setattr__(self, "upper_limits", tuple(b.tolist()))
-        object.__setattr__(self, "masses", tuple(p.tolist()))
-        object.__setattr__(self, "cond_means", tuple(m.tolist()))
-        object.__setattr__(self, "max_error", float(np.max(e)))
-        object.__setattr__(self, "_errors", tuple(e.tolist()))
+        vars(self).update(upper_limits=tuple(b.tolist()), masses=tuple(p.tolist()),
+                          cond_means=tuple(m.tolist()), max_error=float(np.max(e)),
+                          _errors=tuple(e.tolist()), _chain=None)
+        return self
 
     @property
     def n_regions(self) -> int:
@@ -189,12 +193,8 @@ def breakpoint_errors(partition: Partition) -> BreakpointErrors:
 
 def _expand_symmetric(neg: np.ndarray, n_regions: int) -> np.ndarray:
     """Full interior boundary vector from the strictly negative unknowns."""
-    k = n_regions - 1
-    parts = [neg]
-    if k % 2 == 1:
-        parts.append(np.zeros(1))
-    parts.append(-neg[::-1])
-    return np.concatenate(parts)
+    middle = [0.0] if n_regions % 2 == 0 else []  # an odd interior count has a zero middle
+    return np.concatenate((neg, middle, -neg[::-1]))
 
 
 def _symmetric_stats(neg: np.ndarray, n_regions: int):
@@ -227,11 +227,11 @@ def _reduced_jacobian(stats, n_regions: int):
     limit mirrors the last unknown when N is odd (b_h = -b_{h-1}, so
     mid = de/da - de/db) and is the fixed zero when N is even (mid = de/da).
     """
-    rows = (n_regions + 1) // 2
-    b, p, m, _, d_phi, phi_b = (v[:rows] for v in stats)
-    d_upper = (d_phi / p + 1.0) * phi_b * (b - m)
-    a = b[:-1]
-    d_lower = np.concatenate(([0.0], d_phi[1:] * phi_b[:-1] * (m[1:] - a) / p[1:]))
+    h = (n_regions + 1) // 2
+    b, p, m, _, d_phi, phi_b = stats
+    d_upper = (d_phi[:h] / p[:h] + 1.0) * phi_b[:h] * (b[:h] - m[:h])
+    d_lower = np.zeros(h)
+    d_lower[1:] = d_phi[1:h] * phi_b[:h - 1] * (m[1:h] - b[:h - 1]) / p[1:h]
     mid = d_lower[-1] - d_upper[-1] if n_regions % 2 else d_lower[-1]
     return d_upper[:-1], d_lower[:-1], float(mid)
 
@@ -298,10 +298,10 @@ def solve_minimax(n_regions: int) -> Partition:
     have norm <= 1e-10 (_TOL), one more step polishes the result, kept on
     the same terms.  N = 1 and N = 2 are returned analytically.
 
-    Each call logs one DEBUG record on the losslin.partition logger: N,
-    Newton iterations, region-statistics passes (including the one that
-    certifies the result), whether the polishing step was kept, and the
-    final residual norm over all breakpoints.
+    The last accepted pass certifies the result, as Partition construction
+    would.  Each call logs one DEBUG record on the losslin.partition logger:
+    N, Newton iterations, region-statistics passes (5 at N = 1000), whether
+    the polishing step was kept, and the final residual norm over all breakpoints.
     """
     n_regions = check_count(n_regions, 1,
                             f"n_regions must be a positive integer, got {n_regions!r}")
@@ -358,14 +358,15 @@ def solve_minimax(n_regions: int) -> Partition:
             )
         iterations += 1
 
-    _log.debug(_SOLVE_RECORD, n_regions, iterations, passes + 1, kept,
+    _log.debug(_SOLVE_RECORD, n_regions, iterations, passes, kept,
                _full_residual_norm(stats[3]))
-    return Partition.from_boundaries(_expand_symmetric(neg, n_regions).tolist())
+    return Partition.__new__(Partition)._certify(stats[0], stats[1:])
 
 
 def _full_residual_norm(e: np.ndarray) -> float:
-    """Norm of e_1 - e_k over all breakpoints k = 2..N."""
-    return float(np.linalg.norm(e[0] - e[1:]))
+    """Norm of e_1 - e_k over all breakpoints k = 2..N (what np.linalg.norm computes)."""
+    d = e[0] - e[1:]
+    return math.sqrt(d @ d)
 
 
 def parameter_table(max_segments: int) -> list[Partition]:

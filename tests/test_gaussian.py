@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from losslin import DomainError, cdf, inv_cdf, phi
+from losslin import gaussian as gaussian_mod
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -164,3 +165,49 @@ def test_round_trip_property(x):
 @given(st.floats(min_value=-30.0, max_value=30.0))
 def test_symmetry_property(x):
     assert cdf(x) + cdf(-x) == approx(1.0, abs=1e-14)
+
+
+# |x| at and around the saturation (38), the clip before squaring (40) and far out
+KERNEL_EDGES = [e * s for e in (38.0, 40.0, 1e200, 1.7e308) for s in (1.0, -1.0)]
+KERNEL_EDGES += [np.nextafter(e, t) for e in KERNEL_EDGES for t in (0.0, 2.0 * e)]
+KERNEL_EDGES += [0.0, -0.0, 5e-324, 39.999, -37.5]
+
+
+def _kernel_bits(x):
+    big, small = np.empty_like(x), np.empty_like(x)
+    out = gaussian_mod._cdf_phi(x, big, small)
+    assert out[0] is big and out[1] is small
+    return big.tobytes(), small.tobytes()
+
+
+@given(st.lists(st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200),
+                          st.sampled_from(KERNEL_EDGES)), max_size=40))
+def test_fused_kernel_is_bitwise_cdf_and_phi(values):
+    x = np.array(values, dtype=float)
+    assert _kernel_bits(x) == (cdf(x).tobytes(), phi(x).tobytes())
+
+
+def test_fused_kernel_is_bitwise_cdf_and_phi_on_a_dense_grid():
+    x = np.concatenate((np.linspace(-41.0, 41.0, 164_001), KERNEL_EDGES))
+    assert _kernel_bits(x) == (cdf(x).tobytes(), phi(x).tobytes())
+
+
+def _inv_cdf_reference(p):
+    """inv_cdf's two Newton refinements composed from the public cdf and phi."""
+    x = gaussian_mod._quantile_estimate(p)
+    for _ in range(2):
+        dens = phi(x)
+        safe = dens > 1e-280
+        x = x - np.where(safe, (cdf(x) - p) / np.where(safe, dens, 1.0), 0.0)
+    return x
+
+
+def test_inv_cdf_is_bitwise_its_reference():
+    # 10^-320..10^-282 leaves the density below 1e-280, where refinement is skipped
+    rng = np.random.default_rng(18)
+    ps = np.concatenate((rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-323.0, -1.0, 5000),
+                         1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 5000), [0.5, 0.02425, 0.97575]))
+    ps = ps[(ps > 0.0) & (ps < 1.0)]
+    assert inv_cdf(ps).tobytes() == _inv_cdf_reference(ps).tobytes()
+    for p in ps[::500]:
+        assert inv_cdf(float(p)) == _inv_cdf_reference(np.array([p]))[0]

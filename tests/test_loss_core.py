@@ -86,6 +86,35 @@ def _mirrored_loss_std(x):
     return np.where(arr < -38.0, -arr, val)
 
 
+def _closs_std_reference(x):
+    """The closed form phi(x) + x * Phi(x) from the public cdf and the plain
+    density formula, saturated beyond |x| > 38."""
+    arr = np.asarray(x, dtype=float)
+    clipped = np.clip(arr, -38.0, 38.0)
+    val = INV_SQRT_2PI * np.exp(-0.5 * clipped * clipped) + cdf(clipped) * clipped
+    val = np.where(arr < -38.0, 0.0, val)
+    return np.where(arr > 38.0, arr, val)
+
+
+_FAR = [e * s for e in (38.0, 40.0, 1e200) for s in (1.0, -1.0)]
+_FAR += [np.nextafter(e, t) for e in _FAR for t in (0.0, 2.0 * e)]
+
+
+class TestClossKernel:
+    """closs_std on the fused Phi/phi kernel keeps the bits of its closed form."""
+
+    def test_bitwise_equal_to_closed_form(self):
+        xs = np.concatenate([np.linspace(-45.0, 45.0, 180_001), _FAR, [0.0, -0.0]])
+        assert closs_std(xs).tobytes() == _closs_std_reference(xs).tobytes()
+        assert loss_std(xs).tobytes() == _closs_std_reference(-xs).tobytes()
+
+    @given(st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200), st.sampled_from(_FAR)))
+    def test_scalar_bitwise_equal_to_closed_form(self, x):
+        want = _closs_std_reference(np.array([x]))
+        assert closs_std(x) == want[0] and type(closs_std(x)) is float
+        assert loss_std(-x) == want[0]
+
+
 class TestLossByReflection:
     """loss_std is closs_std(-x); the direct kernel stays here as its reference."""
 

@@ -264,12 +264,12 @@ class TestNewtonSystem:
         def counting(module, name):
             kernel = getattr(module, name)
 
-            def wrapper(x):
+            def wrapper(*args):
                 calls.append(name)
-                return kernel(x)
+                return kernel(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("cdf", "phi"):
+        for name in ("cdf", "phi", "_cdf_phi"):
             counting(gaussian_mod, name)
         counting(loss_core_mod, "closs_std")
         return calls
@@ -282,11 +282,12 @@ class TestNewtonSystem:
         assert calls == []
 
     def test_region_stats_evaluates_each_kernel_twice(self, monkeypatch):
-        # Phi and phi once on the boundaries and once on the conditional means
+        # one fused Phi/phi call on the boundaries, one on the conditional
+        # means, and no call of the public cdf or phi
         upper = partition_mod._expand_symmetric(self.perturbed_point(101), 101)
         calls = self.counting_kernels(monkeypatch)
         partition_mod._region_stats(np.append(upper, math.inf))
-        assert sorted(calls) == ["cdf", "cdf", "phi", "phi"]
+        assert calls == ["_cdf_phi", "_cdf_phi"]
         assert not hasattr(partition_mod, "closs_std")
 
     def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls):
@@ -294,7 +295,7 @@ class TestNewtonSystem:
         for n in [*range(3, 301), *range(301, 10000, 199), 10000]:
             del region_stats_calls[:]
             spread = breakpoint_errors(solve_minimax(n)).spread
-            assert spread <= 1e-10 and len(region_stats_calls) <= 7, (n, spread)
+            assert spread <= 1e-10 and len(region_stats_calls) <= 6, (n, spread)
 
     @pytest.mark.parametrize("n", [100, 300, 1000, 3000, 10000])
     def test_polished_residual_reaches_rounding_level(self, n):
@@ -373,10 +374,11 @@ class TestOnePass:
         e = partition_mod._region_stats(np.asarray(p.upper_limits))[2]
         assert values == tuple(e.tolist())
 
-    def test_solve_minimax_1000_makes_6_stats_calls(self, region_stats_calls):
-        # the start, 3 Newton steps, the polishing step and the certificate
+    def test_solve_minimax_1000_makes_5_stats_calls(self, region_stats_calls):
+        # the start, 3 Newton steps and the polishing step, whose statistics
+        # certify the result
         solve_minimax(1000)
-        assert len(region_stats_calls) == 6
+        assert len(region_stats_calls) == 5
 
     def test_errors_field_stays_out_of_init_and_repr(self):
         p = solve_minimax(3)
@@ -384,6 +386,65 @@ class TestOnePass:
         assert [f.name for f in dataclasses.fields(Partition) if f.init] == ["upper_limits"]
         with pytest.raises(TypeError):
             Partition(p.upper_limits, _errors=breakpoint_errors(p).values)
+
+
+def _region_stats_reference(upper):
+    """Region statistics composed from the public cdf and phi: Phi and phi on
+    the boundaries padded with their limits, then on the conditional means."""
+    inner = upper[:-1]
+    big_phi = np.concatenate(([0.0], cdf(inner), [1.0]))
+    small_phi = np.concatenate(([0.0], phi(inner), [0.0]))
+    p = big_phi[1:] - big_phi[:-1]
+    if not np.all(p > 0.0):
+        return None
+    m = (small_phi[:-1] - small_phi[1:]) / p
+    d_phi = cdf(m) - big_phi[1:]
+    e = (phi(m) - small_phi[1:]) + m * d_phi
+    return p, m, e, d_phi, small_phi[1:]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestFusedRegionStats:
+    """_region_stats on the fused kernel keeps the bits of its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-8.0, 8.0), st.floats(-41.0, 41.0),
+                              st.sampled_from([-38.0, -37.9, -37.5, 37.5, 38.0, 39.0, -40.0])),
+                    max_size=60, unique=True))
+    def test_bitwise_equal_to_reference(self, interior):
+        upper = np.array(sorted(interior) + [math.inf])
+        got, want = partition_mod._region_stats(upper), _region_stats_reference(upper)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    def test_non_finite_conditional_mean_rejects_the_point(self, monkeypatch):
+        # the kernel takes finite input only; masses of 5e-324 under a density
+        # of 0.24 overflow the first conditional mean to -inf
+        kernel = gaussian_mod._cdf_phi
+
+        def subnormal_masses(x, big, small):
+            kernel(x, big, small)
+            big[:] = 5e-324 * np.arange(1, x.size + 1)
+            return big, small
+        monkeypatch.setattr(gaussian_mod, "_cdf_phi", subnormal_masses)
+        with np.errstate(over="ignore"):
+            assert partition_mod._region_stats(np.array([-1.0, 1.0, math.inf])) is None
+
+    def test_solves_match_the_reference_solves(self, monkeypatch):
+        # every size to 300, then a stride up to the CLI cap of 10000 regions
+        sizes = [*range(1, 301), *range(301, 10000, 199), 10000]
+        fused = {n: solve_minimax(n) for n in sizes}
+        monkeypatch.setattr(partition_mod, "_region_stats", _region_stats_reference)
+        fields = ("upper_limits", "masses", "cond_means", "max_error", "_errors")
+        for n in sizes:
+            part, want = fused[n], solve_minimax(n)
+            assert part == want, n
+            assert [_bits(getattr(part, f)) for f in fields] == \
+                [_bits(getattr(want, f)) for f in fields], n
 
 
 class TestSolveLog:
@@ -401,7 +462,7 @@ class TestSolveLog:
         part, record = self.solve_records(caplog, 1000)
         n, iterations, passes, polish_kept, residual = record.args
         assert (n, iterations) == (1000, 3)
-        assert passes == len(region_stats_calls) == 6
+        assert passes == len(region_stats_calls) == 5
         assert polish_kept is True
         e = np.asarray(breakpoint_errors(part).values)
         assert residual == partition_mod._full_residual_norm(e) <= 1e-13
@@ -500,6 +561,44 @@ class TestPartitionValidation:
         with pytest.raises(InvalidParameterError,
                            match="^interior boundaries must be a sequence of numbers$"):
             Partition.from_boundaries(interior)
+
+    # each statistic is perturbed after _region_stats so that exactly one check fails
+    CERTIFICATE_CHECKS = {
+        "degenerate": (lambda p, m: None, "boundaries produce an empty or degenerate region"),
+        "masses": (lambda p, m: (p * (1.0 + 1e-9), m), "region masses must sum to one"),
+        "order": (lambda p, m: (p, m[[0, 2, 1, 3]]),
+                  "conditional means must be strictly increasing"),
+        "inside": (lambda p, m: (p, np.concatenate(([-0.9], m[1:]))),
+                   "each conditional mean must lie inside its region"),
+        "zero-mean": (lambda p, m: (p, m + 1e-6),
+                      "the discretisation must preserve the zero mean"),
+    }
+
+    @staticmethod
+    def perturb_stats(monkeypatch, perturb):
+        region_stats = partition_mod._region_stats
+
+        def perturbed(upper):
+            p, m, e, d_phi, phi_b = region_stats(upper)
+            changed = perturb(p, m)
+            return None if changed is None else (*changed, e, d_phi, phi_b)
+        monkeypatch.setattr(partition_mod, "_region_stats", perturbed)
+
+    @pytest.mark.parametrize("check", CERTIFICATE_CHECKS)
+    def test_construction_certificate_fires(self, monkeypatch, check):
+        perturb, message = self.CERTIFICATE_CHECKS[check]
+        self.perturb_stats(monkeypatch, perturb)
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            Partition.from_boundaries((-1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("check", ["masses", "zero-mean"])
+    def test_solver_result_passes_the_same_certificate(self, monkeypatch, check):
+        # slightly perturbed statistics still converge; the certificate of
+        # the last accepted pass then rejects them as construction does
+        perturb, message = self.CERTIFICATE_CHECKS[check]
+        self.perturb_stats(monkeypatch, perturb)
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            solve_minimax(7)
 
     def test_lower_limits_view(self):
         p = solve_minimax(3)
