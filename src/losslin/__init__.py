@@ -7,6 +7,8 @@ lower bound minimax-optimal, constructs the matching upper bound, and
 exports distribution-independent linearisation coefficients for MILP
 embedding.
 
+Each module's __all__ is its public surface; the package re-exports those names.
+
 Solver diagnostics go to the "losslin" stdlib logger, which has a
 NullHandler: nothing is printed unless the application configures logging.
 """
@@ -19,86 +21,18 @@ __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-from .bounds import (
-    BoundReport,
-    PiecewiseLinear,
-    build_lower,
-    build_report,
-    build_upper_chord,
-    evaluate,
-    max_gap,
-)
-from .errors import (
-    BoundViolationError,
-    DomainError,
-    InvalidParameterError,
-    LossLinError,
-    QuadratureError,
-    SolverError,
-)
-from .export_io import (
-    ExportBundle,
-    from_json,
-    plot_data,
-    to_csv_table,
-    to_json,
-    to_lp_constraints,
-)
-from .gaussian import cdf, inv_cdf, phi
-from .loss_core import (
-    STANDARD,
-    GenericDistribution,
-    NormalParams,
-    adaptive_simpson,
-    closs,
-    closs_generic,
-    closs_std,
-    loss,
-    loss_std,
-)
-from .partition import (
-    BreakpointErrors,
-    Partition,
-    breakpoint_errors,
-    parameter_table,
-    solve_minimax,
-)
+from . import bounds, errors, export_io, gaussian, loss_core, partition
+from .bounds import *
+from .errors import *
+from .export_io import *
+from .gaussian import *
+from .loss_core import *
+from .partition import *
 
-__all__ = [
-    "BoundReport",
-    "BoundViolationError",
-    "BreakpointErrors",
-    "DomainError",
-    "ExportBundle",
-    "GenericDistribution",
-    "InvalidParameterError",
-    "LossLinError",
-    "NormalParams",
-    "Partition",
-    "PiecewiseLinear",
-    "QuadratureError",
-    "STANDARD",
-    "SolverError",
-    "adaptive_simpson",
-    "breakpoint_errors",
-    "build_lower",
-    "build_report",
-    "build_upper_chord",
-    "cdf",
-    "closs",
-    "closs_generic",
-    "closs_std",
-    "evaluate",
-    "from_json",
-    "inv_cdf",
-    "loss",
-    "loss_std",
-    "max_gap",
-    "parameter_table",
-    "phi",
-    "plot_data",
-    "solve_minimax",
-    "to_csv_table",
-    "to_json",
-    "to_lp_constraints",
-]
+__all__ = []
+__all__ += bounds.__all__
+__all__ += errors.__all__
+__all__ += export_io.__all__
+__all__ += gaussian.__all__
+__all__ += loss_core.__all__
+__all__ += partition.__all__

@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all losslin modules."""
 
+__all__ = ["LossLinError", "DomainError", "InvalidParameterError", "QuadratureError",
+           "SolverError", "BoundViolationError"]
+
 
 class LossLinError(Exception):
     """Base class for every error raised by this package."""

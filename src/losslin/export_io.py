@@ -37,7 +37,7 @@ __all__ = [
 
 TOOL_NAME = "losslin"
 
-# the one real format of the JSON and CSV exports
+# the one real format of the JSON, CSV and plot exports
 _REAL = "%.17g"
 _fmt = _REAL.__mod__
 
@@ -120,8 +120,8 @@ def to_json(report: BoundReport) -> str:
     breakpoints = ", ".join(bp)
     return _DOCUMENT % (
         _METADATA % (_quote(TOOL_NAME), _quote(__version__), lower.n_segments,
-                     _quote(report.target), _fmt(float(scale.mu)),
-                     _fmt(float(scale.sigma)), _fmt(report.max_error)),
+                     _quote(report.target), _fmt(scale.mu),
+                     _fmt(scale.sigma), _fmt(report.max_error)),
         _BLOCK % ("lower", rows % lower.intercepts, breakpoints, breakpoints),
         _BLOCK % ("upper", rows % report.upper.intercepts, breakpoints,
                   _reals(report.upper_error_locations[1:-1], _NULL, _NULL)),
@@ -282,6 +282,6 @@ def plot_data(report: BoundReport, n_points: int) -> str:
     up = _evaluate_array(upper, xs)
     cols = (xs, exact, lo, up, exact - lo, up - exact)
     lines = ["x,exact,lower,upper,gap_lower,gap_upper"]
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
-              for row in zip(*(c.tolist() for c in cols))]
+    row = ",".join([_REAL] * len(cols))
+    lines += [row % values for values in zip(*(c.tolist() for c in cols))]
     return "\n".join(lines) + "\n"

@@ -19,6 +19,8 @@ from scipy import special
 
 from .errors import DomainError
 
+__all__ = ["cdf", "inv_cdf", "phi"]
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -39,20 +40,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Mean and standard deviation of a normal random variable."""
+    """Mean and standard deviation of a normal random variable, stored as floats."""
 
     mu: float = 0.0
     sigma: float = 1.0
 
     def __post_init__(self):
+        # real numbers only, as Partition takes them
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (self.mu, self.sigma)):
+            raise InvalidParameterError("mu and sigma must be numbers")
         try:
-            finite = math.isfinite(self.mu) and math.isfinite(self.sigma)
-        except TypeError:
-            raise InvalidParameterError("mu and sigma must be numbers") from None
-        if not finite:
+            mu, sigma = float(self.mu), float(self.sigma)
+        except OverflowError:  # an int beyond float range
+            raise InvalidParameterError("mu and sigma must be finite") from None
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise InvalidParameterError("mu and sigma must be finite")
-        if self.sigma <= 0.0:
+        if sigma <= 0.0:
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
+        vars(self).update(mu=mu, sigma=sigma)
 
 
 STANDARD = NormalParams(0.0, 1.0)
@@ -109,7 +114,10 @@ def _check_params(params: NormalParams):
 
 def _standardize(x, params: NormalParams):
     arr, scalar = _validated(x)
-    t = (arr - params.mu) / params.sigma
+    with np.errstate(over="ignore"):
+        t = (arr - params.mu) / params.sigma
+    if not np.all(np.isfinite(t)):
+        raise DomainError("(x - mu) / sigma overflows a double")
     return float(t) if scalar else t
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "breakpoint_errors",
     "solve_minimax",
     "parameter_table",
-    "check_count",
 ]
 
 _log = logging.getLogger(__name__)

@@ -373,6 +373,16 @@ def test_debug_logging_leaves_stdout_unchanged(capsys, argv):
     assert "solve_minimax n_regions=" in err
 
 
+def test_overflowing_standardised_argument_fails_with_one_line():
+    # a subprocess, so that stderr holds any warning numpy would print
+    proc = subprocess.run(
+        [sys.executable, "-m", "losslin.cli", "eval", "--x", "1e308", "--sigma", "1e-300"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: (x - mu) / sigma overflows a double\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "losslin.cli", "eval", "--x", "0"],

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from losslin import (
+    BoundReport,
     DomainError,
     GenericDistribution,
     InvalidParameterError,
@@ -21,6 +24,8 @@ from losslin import (
     loss,
     loss_std,
     phi,
+    solve_minimax,
+    to_json,
 )
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -169,11 +174,44 @@ class TestScaling:
         with pytest.raises(InvalidParameterError):
             NormalParams(math.nan, 1.0)
 
-    @pytest.mark.parametrize("args", [("0", 1.0), (None,), (0.0, "1"), (1j, 1.0)],
-                             ids=["str-mu", "none-mu", "str-sigma", "complex-mu"])
+    @pytest.mark.parametrize("args", [
+        ("0", 1.0), (None,), (0.0, "1"), (1j, 1.0), (True, 1.0), (0.0, True),
+        (np.bool_(False), 1.0), (Decimal("1"), 1.0), (0.0, Decimal("1")), (np.array(1.0), 1.0),
+    ], ids=["str-mu", "none-mu", "str-sigma", "complex-mu", "bool-mu", "bool-sigma",
+            "numpy-bool-mu", "decimal-mu", "decimal-sigma", "array-mu"])
     def test_params_must_be_numbers(self, args):
         with pytest.raises(InvalidParameterError, match="^mu and sigma must be numbers$"):
             NormalParams(*args)
+
+    @pytest.mark.parametrize("args", [(10**400, 1.0), (0.0, 10**400), (-(10**400), 1.0)])
+    def test_int_beyond_float_range_is_not_finite(self, args):
+        with pytest.raises(InvalidParameterError, match="^mu and sigma must be finite$"):
+            NormalParams(*args)
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (1, 2), (np.float32(1.1), np.float32(0.3)), (np.int64(-3), 1.0), (Fraction(1, 3), 2.0),
+    ], ids=["int", "float32", "numpy-int", "fraction"])
+    def test_params_are_stored_as_floats(self, mu, sigma):
+        params = NormalParams(mu, sigma)
+        assert type(params.mu) is float and type(params.sigma) is float
+        assert params == NormalParams(float(mu), float(sigma))
+        assert repr(params) == f"NormalParams(mu={float(mu)!r}, sigma={float(sigma)!r})"
+
+    def test_float32_scale_gives_the_float_bundle(self):
+        part = solve_minimax(4)
+        narrow = BoundReport(part, NormalParams(np.float32(1.1), 1.0))
+        wide = BoundReport(part, NormalParams(float(np.float32(1.1)), 1.0))
+        assert type(narrow.lower.breakpoints[1]) is float
+        assert to_json(narrow) == to_json(wide)
+
+    @pytest.mark.parametrize("fn", [closs, loss])
+    @pytest.mark.parametrize("x, mu, sigma", [
+        (1e308, 0.0, 1e-300), (np.array([0.0, 1e308]), 0.0, 1e-300), (1e308, -1e308, 1.0),
+    ], ids=["divide", "divide-array", "subtract"])
+    def test_overflowing_standardised_argument(self, fn, x, mu, sigma):
+        # pytest turns RuntimeWarning into an error, so a warning would fail this too
+        with pytest.raises(DomainError, match=r"^\(x - mu\) / sigma overflows a double$"):
+            fn(x, NormalParams(mu, sigma))
 
 
 class TestIdentities:
