@@ -46,7 +46,7 @@ class PiecewiseLinear:
     std_* fields hold the canonical standard-scale data (one more segment
     than breakpoints; outer segments unbounded), stored as tuples of Python
     floats whatever sequence was passed.  The breakpoints, slopes and
-    intercepts properties expose the domain-scale data, which construction
+    intercepts fields hold the domain-scale data, which construction
     computes once and rejects unless every value is finite.  The builders
     return views of chains validated here in standard scale.
     """
@@ -57,8 +57,9 @@ class PiecewiseLinear:
     kind: str  # "lower" | "upper"
     target: str  # "closs" | "loss"
     scale: NormalParams
-    _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _intercepts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    intercepts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_view(self.scale, self.target)
@@ -91,20 +92,6 @@ class PiecewiseLinear:
     def n_segments(self) -> int:
         return len(self.std_slopes)
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return self._breakpoints
-
-    @property
-    def slopes(self) -> tuple[float, ...]:
-        # rescaling x -> (x - mu)/sigma and multiplying values by sigma
-        # leaves segment slopes unchanged
-        return self.std_slopes
-
-    @property
-    def intercepts(self) -> tuple[float, ...]:
-        return self._intercepts
-
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
 
@@ -115,7 +102,7 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
         raise DomainError("evaluate requires finite x")
     mu, sigma = pl.scale.mu, pl.scale.sigma
     idx = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
-    return pl.std_slopes[idx] * x + pl._intercepts[idx]
+    return pl.std_slopes[idx] * x + pl.intercepts[idx]
 
 
 def _place(pl: PiecewiseLinear) -> None:
@@ -127,7 +114,8 @@ def _place(pl: PiecewiseLinear) -> None:
         raise InvalidParameterError(
             f"domain-scale breakpoints and intercepts must be finite"
             f" (mu={mu!r}, sigma={sigma!r})")
-    vars(pl).update(_breakpoints=breakpoints, _intercepts=intercepts)
+    # rescaling x to (x - mu)/sigma and values by sigma leaves slopes unchanged
+    vars(pl).update(breakpoints=breakpoints, slopes=pl.std_slopes, intercepts=intercepts)
 
 
 def _view(std: PiecewiseLinear, scale: NormalParams, target: str) -> PiecewiseLinear:

@@ -277,7 +277,7 @@ def plot_data(report: BoundReport, n_points: int) -> str:
     if not math.isfinite(stop - start):
         raise InvalidParameterError(f"plot grid width is not finite (mu={mu!r}, sigma={sigma!r})")
     xs = np.linspace(start, stop, n_points)
-    exact = np.asarray(_exact(lower, xs), dtype=float)
+    exact = _exact(lower, xs)
     lo = _evaluate_array(lower, xs)
     up = _evaluate_array(upper, xs)
     cols = (xs, exact, lo, up, exact - lo, up - exact)

@@ -63,26 +63,29 @@ class NormalParams:
 STANDARD = NormalParams(0.0, 1.0)
 
 
-def _validated(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
+def _finite(x) -> tuple[np.ndarray, bool]:
+    arr, scalar = gaussian._as_array(x)
     if not np.all(np.isfinite(arr)):
         raise DomainError("loss functions require finite arguments")
-    return arr, arr.ndim == 0
+    return arr, scalar
+
+
+def _closs(t: np.ndarray, scalar: bool, sigma: float = 1.0):
+    """sigma * (phi(t) + t * Phi(t)) of a finite float array t; a float if scalar.
+    Below -38 the sum is all cancellation and its limit 0 is stored; above 38
+    Phi(t) is exactly 1 and phi(t) <= 1.1e-314, so the sum is t already."""
+    big, small = gaussian._cdf_phi(t, np.empty_like(t), np.empty_like(t))
+    val = sigma * np.where(t < -gaussian.SATURATION, 0.0, small + big * t)
+    return float(val) if scalar else val
 
 
 def closs_std(x):
     """Complementary loss of the standard normal: phi(x) + x * Phi(x).
 
     Strictly positive for all finite x, tending to 0 as x -> -inf and to
-    x as x -> +inf.  Beyond |x| > 38 the closed form is all cancellation,
-    so those limits are returned exactly.
+    x as x -> +inf.  Beyond |x| > 38 those limits are returned exactly.
     """
-    arr, scalar = _validated(x)
-    big, small = gaussian._cdf_phi(arr, np.empty_like(arr), np.empty_like(arr))
-    val = small + big * arr
-    val = np.where(arr < -gaussian.SATURATION, 0.0, val)
-    val = np.where(arr > gaussian.SATURATION, arr, val)
-    return float(val) if scalar else val
+    return _closs(*_finite(x))
 
 
 def loss_std(x):
@@ -92,33 +95,31 @@ def loss_std(x):
     the normal; the survival factor 1 - Phi(x) then comes out as Phi(-x),
     free of cancellation in the right tail.
     """
-    return closs_std(-np.asarray(x, dtype=float))
+    arr, scalar = _finite(x)
+    return _closs(-arr, scalar)
 
 
 def closs(x, params: NormalParams):
     """Complementary loss of a normal(mu, sigma): sigma * closs_std((x - mu)/sigma)."""
-    _check_params(params)
-    return params.sigma * closs_std(_standardize(x, params))
+    t, scalar = _standardize(x, params)
+    return _closs(t, scalar, params.sigma)
 
 
 def loss(x, params: NormalParams):
     """Loss of a normal(mu, sigma): sigma * loss_std((x - mu)/sigma)."""
-    _check_params(params)
-    return params.sigma * loss_std(_standardize(x, params))
+    t, scalar = _standardize(x, params)
+    return _closs(-t, scalar, params.sigma)
 
 
-def _check_params(params: NormalParams):
+def _standardize(x, params: NormalParams) -> tuple[np.ndarray, bool]:
     if not isinstance(params, NormalParams):
         raise InvalidParameterError("params must be a NormalParams instance")
-
-
-def _standardize(x, params: NormalParams):
-    arr, scalar = _validated(x)
+    arr, scalar = _finite(x)
     with np.errstate(over="ignore"):
         t = (arr - params.mu) / params.sigma
     if not np.all(np.isfinite(t)):
         raise DomainError("(x - mu) / sigma overflows a double")
-    return float(t) if scalar else t
+    return t, scalar
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,6 @@ def solve_minimax(n_regions: int) -> Partition:
     # equal errors spread the boundaries like N(0, 2) quantiles (see the
     # module docstring), which start within a few hundredths of the solution
     neg = math.sqrt(2.0) * gaussian.inv_cdf(np.arange(1, rows) / n_regions)
-    neg = np.atleast_1d(np.asarray(neg, dtype=float))
 
     stats = _symmetric_stats(neg, n_regions)
     eps = float(np.mean(stats[3][:rows]))
