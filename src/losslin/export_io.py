@@ -86,7 +86,10 @@ class ExportBundle:
     partition: dict
 
     def to_text(self) -> str:
-        return _render({name: getattr(self, name) for name in _SECTIONS}) + "\n"
+        try:
+            return _render({name: getattr(self, name) for name in _SECTIONS}) + "\n"
+        except RecursionError:
+            raise InvalidParameterError("bundle is nested too deeply to render") from None
 
 
 # The bundle schema; every %s is a value already spelled as JSON.
@@ -153,6 +156,8 @@ def from_json(text: str) -> ExportBundle:
         doc = _DECODER.decode(text)
     except (TypeError, ValueError) as exc:  # not a str, malformed, over-long integer, NaN
         raise InvalidParameterError(f"bundle is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidParameterError("bundle is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise InvalidParameterError("bundle must be a JSON object")
     try:
@@ -208,7 +213,9 @@ def _lp_term(coef: float, var: str) -> str:
 # LP-format identifier: at most 255 characters from letters, digits and
 # !"#$%&()/,.;?@_`'{}|~, not starting with a digit or a period.  Whitespace,
 # the operators <>=:+-*^ and the brackets [] would break the row grammar.
-_LP_NAME = re.compile(r"[A-Za-z!\"#$%&()/,;?@_`'{}|~][A-Za-z0-9!\"#$%&()/,.;?@_`'{}|~]{0,254}")
+# e or E alone, or followed by a digit, e or E, reads as an exponent.
+_LP_NAME = re.compile(r"(?![eE](?:[0-9eE]|\Z))"
+                      r"[A-Za-z!\"#$%&()/,;?@_`'{}|~][A-Za-z0-9!\"#$%&()/,.;?@_`'{}|~]{0,254}")
 
 
 def _check_lp_name(name: str, role: str) -> None:

@@ -3,8 +3,8 @@
 These are the numeric workhorses of the package: every partition solve and
 every bound evaluation goes through them, so they are implemented with
 double-precision accuracy (absolute error well below 1e-12 on the ranges
-that matter) and accept scalars or numpy arrays alike.  Scalar input
-returns a plain ``float``.
+that matter) and accept int or float scalars and arrays alike.  Scalar
+input returns a plain ``float``.
 
 The private kernel _cdf_phi gives Phi and phi of a finite array in one call,
 bit for bit what cdf and phi return; a Newton pass of the solve makes two.
@@ -29,8 +29,12 @@ SATURATION = 38.0
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    """x as a float array, and whether it was a scalar; DomainError unless int or float."""
+    arr = np.asarray(x)
+    # checked before the cast, which would parse strings and drop imaginary parts
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"arguments must be int or float, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False), arr.ndim == 0
 
 
 def phi(x):

@@ -180,7 +180,8 @@ class TestBounds:
         assert "cost - q >= 0" in out
 
     @pytest.mark.parametrize("var_x, var_l", [
-        ("2q", "L>="), ("x", "L>="), ("a b", "L"), ("x", "x"), ("x", "y" * 256)])
+        ("2q", "L>="), ("x", "L>="), ("a b", "L"), ("x", "x"), ("x", "y" * 256),
+        ("e1", "E8cats"), ("x", "E8cats"), ("ee", "L"), ("e", "L")])
     def test_invalid_lp_variables_fail_loudly(self, capsys, var_x, var_l):
         rc, out, err = run(capsys, "bounds", "--segments", "3", "--format", "lp",
                            "--var-x", var_x, "--var-L", var_l)

@@ -140,6 +140,19 @@ class TestJson:
         assert mu == 0.0 and math.copysign(1.0, mu) == -1.0
         assert from_json(text).to_text() == text
 
+    def test_from_json_rejects_too_deep_nesting(self):
+        with pytest.raises(InvalidParameterError, match="^bundle is nested too deeply to parse$"):
+            from_json('{"metadata": ' + "[" * 100_000)
+
+    def test_to_text_rejects_too_deep_nesting(self):
+        # built directly: the depth at which parsing fails differs across Python versions
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        bundle = losslin.ExportBundle({"a": deep}, {}, {}, {})
+        with pytest.raises(InvalidParameterError, match="^bundle is nested too deeply to render$"):
+            bundle.to_text()
+
     def test_from_json_reads_text_only(self):
         text = to_json(build_report(solve_minimax(3)))
         with pytest.raises(InvalidParameterError, match="^bundle is not valid JSON: "):
@@ -453,6 +466,8 @@ class TestLpConstraints:
     @pytest.mark.parametrize("name", [
         "2q", ".x", "L>=", "a b", "x\t", "a-b", "a+b", "a:b", "a*b", "a^2",
         "a<b", "a=b", "a[1]", "", "x" * 256,
+        # read as exponents: e or E alone, or followed by a digit, e or E
+        "e", "E", "e1", "E8cats", "ee", "eE", "Ee9",
     ])
     def test_rejects_invalid_variable_names(self, name):
         report = build_report(solve_minimax(2))
@@ -465,7 +480,8 @@ class TestLpConstraints:
         with pytest.raises(InvalidParameterError):
             to_lp_constraints(build_report(solve_minimax(2)), "v", "v")
 
-    @pytest.mark.parametrize("name", ["x_1", "a.b", "Cost", "y" * 255, "(q)", "z#"])
+    @pytest.mark.parametrize("name", ["x_1", "a.b", "Cost", "y" * 255, "(q)", "z#",
+                                      "example", "eta", "E_1", "xe1"])
     def test_accepts_valid_variable_names(self, name):
         text = to_lp_constraints(build_report(solve_minimax(4)), name, "L")
         _, constraints, rest = lp_sections(text)

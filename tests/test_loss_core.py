@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from losslin import (
     closs,
     closs_generic,
     closs_std,
+    inv_cdf,
     loss,
     loss_std,
     phi,
@@ -103,21 +105,42 @@ def _closs_std_reference(x):
 
 _FAR = [e * s for e in (38.0, 40.0, 1e200) for s in (1.0, -1.0)]
 _FAR += [np.nextafter(e, t) for e in _FAR for t in (0.0, 2.0 * e)]
+_KERNEL_XS = np.concatenate([np.linspace(-45.0, 45.0, 180_001), _FAR, [0.0, -0.0]])
+_KERNEL_X = st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200), st.sampled_from(_FAR))
+# the (mu, sigma) scales of tests/test_output_pin.py
+_PIN_SCALES = [NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37), NormalParams(20.0, 5.0),
+               NormalParams(1e6, 1e-2), NormalParams(-0.0, 1.0)]
 
 
 class TestClossKernel:
-    """closs_std on the fused Phi/phi kernel keeps the bits of its closed form."""
+    """The four loss functions on the fused Phi/phi kernel keep the bits of the closed form."""
 
     def test_bitwise_equal_to_closed_form(self):
-        xs = np.concatenate([np.linspace(-45.0, 45.0, 180_001), _FAR, [0.0, -0.0]])
+        xs = _KERNEL_XS
         assert closs_std(xs).tobytes() == _closs_std_reference(xs).tobytes()
         assert loss_std(xs).tobytes() == _closs_std_reference(-xs).tobytes()
 
-    @given(st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200), st.sampled_from(_FAR)))
+    @given(_KERNEL_X)
     def test_scalar_bitwise_equal_to_closed_form(self, x):
         want = _closs_std_reference(np.array([x]))
         assert closs_std(x) == want[0] and type(closs_std(x)) is float
-        assert loss_std(-x) == want[0]
+        assert loss_std(-x) == want[0] and type(loss_std(-x)) is float
+
+    @pytest.mark.parametrize("p", _PIN_SCALES, ids=repr)
+    def test_scaled_bitwise_equal_to_closed_form(self, p):
+        xs = p.mu + p.sigma * _KERNEL_XS
+        want = p.sigma * _closs_std_reference((xs - p.mu) / p.sigma)
+        assert closs(xs, p).tobytes() == want.tobytes()
+        want = p.sigma * _closs_std_reference(-(xs - p.mu) / p.sigma)
+        assert loss(xs, p).tobytes() == want.tobytes()
+
+    @given(_KERNEL_X, st.sampled_from(_PIN_SCALES))
+    def test_scaled_scalar_bitwise_equal_to_closed_form(self, t, p):
+        x = p.mu + p.sigma * t
+        want = p.sigma * _closs_std_reference(np.array([(x - p.mu) / p.sigma]))
+        assert closs(x, p) == want[0] and type(closs(x, p)) is float
+        want = p.sigma * _closs_std_reference(np.array([-(x - p.mu) / p.sigma]))
+        assert loss(x, p) == want[0] and type(loss(x, p)) is float
 
 
 class TestLossByReflection:
@@ -212,6 +235,41 @@ class TestScaling:
         # pytest turns RuntimeWarning into an error, so a warning would fail this too
         with pytest.raises(DomainError, match=r"^\(x - mu\) / sigma overflows a double$"):
             fn(x, NormalParams(mu, sigma))
+
+
+_PARAMS = NormalParams(1.0, 2.0)
+_REAL_ARGUMENT_FNS = {
+    "cdf": cdf, "phi": phi, "inv_cdf": inv_cdf, "closs_std": closs_std, "loss_std": loss_std,
+    "closs": lambda x: closs(x, _PARAMS), "loss": lambda x: loss(x, _PARAMS),
+}
+
+
+@pytest.mark.parametrize("name", list(_REAL_ARGUMENT_FNS))
+@pytest.mark.parametrize("x", ["0.5", True, np.array([True]), np.array([0.5 + 2j]), 0.5 + 0j,
+                               np.array([0.5], dtype=object), Decimal("0.5")],
+                         ids=["str", "bool", "bool-array", "complex-array", "complex",
+                              "object-array", "decimal"])
+def test_non_real_arguments_are_rejected(name, x):
+    # the dtype is checked before any cast, which would warn on complex input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^arguments must be int or float, got dtype "):
+            _REAL_ARGUMENT_FNS[name](x)
+
+
+_FLOAT_ARGUMENTS = [np.float32(0.25), np.float16(0.5), np.array([0.25, 0.75], dtype=np.float32),
+                    [0.25, 0.5]]
+_INT_ARGUMENTS = [2, np.int64(-1), np.uint8(3), np.array([-1, 2]), [0, 1]]
+
+
+@pytest.mark.parametrize("name, x", [
+    (name, x) for name in _REAL_ARGUMENT_FNS
+    for x in _FLOAT_ARGUMENTS + (_INT_ARGUMENTS if name != "inv_cdf" else [])])
+def test_int_and_float_arguments_are_accepted(name, x):
+    got = _REAL_ARGUMENT_FNS[name](x)
+    want = _REAL_ARGUMENT_FNS[name](np.asarray(x, dtype=float))
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestIdentities:
