@@ -65,9 +65,7 @@ class PiecewiseLinear:
         _check_view(self.scale, self.target)
         if self.kind not in ("lower", "upper"):
             raise InvalidParameterError(f"unknown kind {self.kind!r}")
-        bp = np.asarray(self.std_breakpoints, dtype=float)
-        s = np.asarray(self.std_slopes, dtype=float)
-        c = np.asarray(self.std_intercepts, dtype=float)
+        bp, s, c = map(_numbers, (self.std_breakpoints, self.std_slopes, self.std_intercepts))
         if s.size != c.size or s.size != bp.size + 1:
             raise InvalidParameterError("need one slope/intercept pair per segment")
         if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
@@ -97,7 +95,14 @@ class PiecewiseLinear:
 
 
 def evaluate(pl: PiecewiseLinear, x: float) -> float:
-    """Value of the active segment at x (binary search over breakpoints)."""
+    """Value of the active segment at x (binary search over breakpoints).
+
+    x is a finite int or float scalar, numpy ones included; bools, strings,
+    complex numbers and None raise DomainError, as in losslin.gaussian.
+    """
+    # a Python float, the common case, skips the dtype check
+    if type(x) is not float and (np.ndim(x) != 0 or np.asarray(x).dtype.kind not in "iuf"):
+        raise DomainError(f"evaluate requires an int or float scalar x, got {type(x).__name__}")
     if not math.isfinite(x):
         raise DomainError("evaluate requires finite x")
     mu, sigma = pl.scale.mu, pl.scale.sigma
@@ -172,7 +177,10 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
     is validated in standard scale; this is its view at scale and target.
     """
     _check_view(scale, target)
-    pts = np.asarray(tuple(domain_breakpoints), dtype=float)
+    try:
+        pts = _numbers(tuple(domain_breakpoints))
+    except TypeError:
+        raise InvalidParameterError("breakpoints must be a sequence of numbers") from None
     if pts.size == 0:
         raise InvalidParameterError("need at least one breakpoint")
     if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
@@ -283,6 +291,19 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
             f"{pl.kind} bound crosses the exact function by {-worst * sigma:.3e}")
     i = int(np.argmax(np.abs(margin)))
     return sigma * abs(float(margin[i])), sigma * float(where[i]) + mu
+
+
+def _numbers(values) -> np.ndarray:
+    """values as a flat float array; InvalidParameterError unless its dtype is int or float."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        arr = None
+    # checked before the cast, which would parse strings and read bools as 0 and 1
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            "breakpoints, slopes and intercepts must be flat sequences of int or float numbers")
+    return arr.astype(float, copy=False)
 
 
 def _check_view(scale: NormalParams, target: str):

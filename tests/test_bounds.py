@@ -211,6 +211,21 @@ class TestChordUpperBound:
         with pytest.raises(InvalidParameterError):
             build_upper_chord((0.0, math.inf))
 
+    @pytest.mark.parametrize("points", [["-1", "1"], [False, True], [np.True_], [None, 1.0],
+                                        [1 + 0j, 2.0], [[0.0], [1.0]], 3, None],
+                             ids=["str", "bool", "np-bool", "none", "complex", "nested",
+                                  "scalar", "none-seq"])
+    def test_rejects_non_numeric_breakpoints(self, points):
+        # the dtype is checked before any cast, which would parse strings
+        with pytest.raises(InvalidParameterError):
+            build_upper_chord(points)
+
+    @pytest.mark.parametrize("points", [[-1, 1], np.array([-1, 1], dtype=np.int8),
+                                        iter([-1.0, 1.0]), np.array([-1.0, 1.0])],
+                             ids=["int", "np-int8", "iterator", "ndarray"])
+    def test_accepts_int_and_float_breakpoints(self, points):
+        assert build_upper_chord(points) == build_upper_chord((-1.0, 1.0))
+
     def test_loss_target_is_sheared_closs_target(self):
         scale = NormalParams(-3.0, 0.25)
         nodes = (-3.4, -3.05, -2.8, -2.2)
@@ -266,6 +281,24 @@ class TestEvaluateAndMaxGap:
         pl = build_lower(solve_minimax(2))
         with pytest.raises(DomainError):
             evaluate(pl, math.nan)
+
+    @pytest.mark.parametrize("x", ["1", 1 + 0j, None, True, np.True_, np.array([1.0]), [1.0],
+                                   10**400],
+                             ids=["str", "complex", "none", "bool", "np-bool", "array",
+                                  "list", "huge-int"])
+    def test_evaluate_rejects_non_real_scalars(self, x):
+        pl = build_lower(solve_minimax(3))
+        with pytest.raises(DomainError, match="int or float scalar"):
+            evaluate(pl, x)
+        with pytest.raises(DomainError, match="int or float scalar"):
+            pl(x)
+
+    @pytest.mark.parametrize("x, want", [(1, 1.0), (np.int64(-2), -2.0), (np.uint8(3), 3.0),
+                                         (np.float64(0.25), 0.25), (np.array(0.5), 0.5)],
+                             ids=["int", "np-int64", "np-uint8", "np-float64", "0-d"])
+    def test_evaluate_accepts_int_and_float_scalars(self, x, want):
+        pl = build_lower(solve_minimax(3))
+        assert evaluate(pl, x) == evaluate(pl, want) == pl(x)
 
     def test_max_gap_single_region(self):
         gap, x = max_gap(build_lower(solve_minimax(1)), 100_000)
@@ -591,6 +624,24 @@ class TestPiecewiseLinearValidation:
         with pytest.raises(InvalidParameterError, match="intercepts must be finite"):
             PiecewiseLinear((-1.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.1, 0.0),
                             "upper", "closs", STANDARD)
+
+    @pytest.mark.parametrize("field", range(3), ids=["breakpoints", "slopes", "intercepts"])
+    @pytest.mark.parametrize("bad", [lambda v: tuple(map(str, v)), lambda v: (None,) * len(v),
+                                     lambda v: tuple(complex(x) for x in v),
+                                     lambda v: tuple(bool(x) for x in v),
+                                     lambda v: tuple((x,) for x in v)],
+                             ids=["str", "none", "complex", "bool", "nested"])
+    def test_non_numeric_std_fields_rejected(self, field, bad):
+        args = [(-1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+        args[field] = bad(args[field])
+        with pytest.raises(InvalidParameterError, match="int or float numbers"):
+            PiecewiseLinear(*args, "upper", "closs", STANDARD)
+
+    def test_int_std_fields_accepted(self):
+        pl = PiecewiseLinear((-1, 1), (0, 0, 1), (0, 0, -1), "upper", "closs", STANDARD)
+        assert pl == PiecewiseLinear((-1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                                     "upper", "closs", STANDARD)
+        assert all(type(v) is float for v in pl.std_breakpoints + pl.std_slopes)
 
     @pytest.mark.parametrize("seq", [list, np.array], ids=["list", "ndarray"])
     def test_std_fields_are_normalised(self, seq):
