@@ -30,10 +30,11 @@ Phi/phi kernel calls, one on the boundaries and one on the conditional means.
 For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
-density.  Newton starts from the N(0, 2) quantiles, a few hundredths from
-the solution for every N, and takes full steps only; the step after
-the residual falls to 1e-10 polishes the result to rounding level.  The
-last accepted pass certifies the result; at N = 1000 a solve makes 5 passes.
+density.  Newton starts from closed-form N(0, 2) quantiles at an index
+shifted by 0.15 (_start), inside its quadratic basin for every N, and
+takes full steps only: one or two for N <= 10000.  The step after the
+residual falls to 1e-10 polishes the result to rounding level.  The last
+accepted pass certifies the result; at N = 1000 a solve makes 4 passes.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     recurrence x_i = rho_i x_{i-1} + q_i, rho_i = -sub[i] / diag[i], with
     q = -r / diag and 1 / diag, solved as the prefix scan x = P cumsum(q / P),
     P = cumprod(rho) (Blelloch, CMU-CS-90-190, 1990).  The middle row then
-    fixes d_eps.  Over every pass for N <= 10001, rho lay in [0.514, 1) and
-    P_n >= 9.7e-4 (rho >= 0.507, P_n = 3.8e-5 at N = 300000); a P_n that is
+    fixes d_eps.  Over every pass for N <= 10001, rho lay in [0.549, 1) and
+    P_n >= 1.1e-3 (rho >= 0.543, P_n >= 4.4e-5 at N = 300000); a P_n that is
     not a positive normal float gives a NaN step, which the solver rejects.
     """
     n = diag.size
@@ -258,6 +259,23 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     v = big_p * np.cumsum(1.0 / diag_p)
     d_eps = float((-r[n] - mid * u[-1]) / (mid * v[-1] - 1.0))
     return u + d_eps * v, d_eps
+
+
+def _start(n_regions: int) -> np.ndarray:
+    """Newton's start: the negative interior boundaries sqrt(2) Q((k + 0.15)/(N + 0.3)),
+    k = 1..ceil(N/2) - 1, with Q Hastings' lower-half normal quantile.
+
+    The solved boundaries sit at N(0, 2) quantiles whose index k is shifted
+    by 0.15-0.17, nearly the same shift for every N.  Hastings' closed form
+    (Abramowitz and Stegun 26.2.23) errs by at most 4.5e-4, smoothly in k, so
+    it barely moves the equal-error residual and the start lies in Newton's
+    quadratic basin without a call of inv_cdf.
+    """
+    u = (np.arange(1, (n_regions + 1) // 2) + 0.15) / (n_regions + 0.3)
+    t = np.sqrt(-2.0 * np.log(u))
+    num = 2.515517 + (0.802853 + 0.010328 * t) * t
+    den = 1.0 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t
+    return math.sqrt(2.0) * (num / den - t)
 
 
 def check_count(value, minimum: int, message: str) -> int:
@@ -290,16 +308,17 @@ def solve_minimax(n_regions: int) -> Partition:
     symmetric-optimum property exactly.  The residuals e_i - eps over the
     ceil(N/2) symmetry-distinct breakpoints form a square system whose
     exact Jacobian is lower bidiagonal plus a column of -1s, so each Newton
-    step costs O(N).  Each full Newton step is kept only if its point has
-    finite boundaries, regions of positive mass and a smaller reduced
-    residual; a rejected step before convergence raises SolverError with
-    the best point.  Once the residuals e_1 - e_k over all breakpoints
+    step costs O(N).  Newton starts at _start's closed-form quantiles,
+    which call no quantile function.  Each full Newton step is kept only
+    if its point has finite boundaries, regions of positive mass and a
+    smaller reduced residual; a rejected step before convergence raises
+    SolverError with the best point.  Once the residuals e_1 - e_k over all breakpoints
     have norm <= 1e-10 (_TOL), one more step polishes the result, kept on
     the same terms.  N = 1 and N = 2 are returned analytically.
 
     The last accepted pass certifies the result, as Partition construction
     would.  Each call logs one DEBUG record on the losslin.partition logger:
-    N, Newton iterations, region-statistics passes (5 at N = 1000), whether
+    N, Newton iterations, region-statistics passes (4 at N = 1000), whether
     the polishing step was kept, and the final residual norm over all breakpoints.
     """
     n_regions = check_count(n_regions, 1,
@@ -312,9 +331,7 @@ def solve_minimax(n_regions: int) -> Partition:
         return part
 
     rows = (n_regions + 1) // 2
-    # equal errors spread the boundaries like N(0, 2) quantiles (see the
-    # module docstring), which start within a few hundredths of the solution
-    neg = math.sqrt(2.0) * gaussian.inv_cdf(np.arange(1, rows) / n_regions)
+    neg = _start(n_regions)
 
     stats = _symmetric_stats(neg, n_regions)
     eps = float(np.mean(stats[3][:rows]))

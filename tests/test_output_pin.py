@@ -18,7 +18,7 @@ SCALES = (("0", "1"), ("-12.3", "0.37"), ("20", "5"), ("1e6", "1e-2"), ("-0.0", 
 FORMATS = (("--format", "json"), ("--format", "lp"), ("--format", "csv"),
            ("--format", "plot", "--n-points", "201"))
 
-PINNED_SHA256 = "da355524dc90fd01894b3291cd6c0e59b569e82f67efdd2cee373cbaded37446"
+PINNED_SHA256 = "38c428b71343698a45b0da510c06881456b66f0160ceabf850a75ee3511fdd65"
 
 
 def pinned_argv():

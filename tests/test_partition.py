@@ -176,6 +176,21 @@ class TestSolvedPartitions:
         p = solve_minimax(n)
         assert breakpoint_errors(p).spread <= 1e-8
 
+    @pytest.mark.parametrize("n, bound", [(10, 1e-13), (100, 1e-11), (1000, 1e-9)])
+    def test_true_relative_spread(self, n, bound):
+        # the breakpoint errors of the solved float boundaries, evaluated
+        # with 34 digits: the spread that floats cannot see in themselves
+        upper = solve_minimax(n).upper_limits
+        with mpmath.workdps(34):
+            b = [mpmath.mpf(x) for x in upper[:-1]]
+            big = [mpmath.mpf(0), *map(mpmath.ncdf, b), mpmath.mpf(1)]
+            small = [mpmath.mpf(0), *map(mpmath.npdf, b), mpmath.mpf(0)]
+            e = []
+            for i in range(n):
+                m = (small[i] - small[i + 1]) / (big[i + 1] - big[i])
+                e.append(mpmath.npdf(m) + m * mpmath.ncdf(m) - (big[i + 1] * m + small[i + 1]))
+            assert (max(e) - min(e)) / max(e) <= bound
+
 
 class TestNewtonSystem:
     """The exact symmetry-reduced Newton system behind solve_minimax."""
@@ -242,7 +257,7 @@ class TestNewtonSystem:
         # ratios of 1e-300 underflow the scan's running product: the step
         # is rejected and the start is reported as the best point
         n = 7
-        start = math.sqrt(2.0) * np.asarray(inv_cdf(np.arange(1, 4) / n))
+        start = partition_mod._start(n)
         jacobian = partition_mod._reduced_jacobian
 
         def tiny_ratios(stats, n_regions):
@@ -290,12 +305,27 @@ class TestNewtonSystem:
         assert calls == ["_cdf_phi", "_cdf_phi"]
         assert not hasattr(partition_mod, "closs_std")
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 100, 1000, 10000])
+    def test_start_is_hastings_shifted_quantiles(self, n):
+        # Hastings' quantile errs by at most 4.5e-4, scaled here by sqrt(2)
+        k = np.arange(1, (n + 1) // 2)
+        want = math.sqrt(2.0) * np.asarray(inv_cdf((k + 0.15) / (n + 0.3)))
+        start = partition_mod._start(n)
+        assert start.shape == want.shape and np.all(start < 0.0)
+        assert np.max(np.abs(start - want), initial=0.0) <= math.sqrt(2.0) * 4.5e-4
+
+    def test_solve_calls_no_quantile(self, monkeypatch):
+        def forbidden(p):
+            raise AssertionError("inv_cdf called")
+        monkeypatch.setattr(gaussian_mod, "inv_cdf", forbidden)
+        assert breakpoint_errors(solve_minimax(1000)).spread <= 1e-10
+
     def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls):
         # every size to 300, then a stride up to the CLI cap of 10000 regions
         for n in [*range(3, 301), *range(301, 10000, 199), 10000]:
             del region_stats_calls[:]
             spread = breakpoint_errors(solve_minimax(n)).spread
-            assert spread <= 1e-10 and len(region_stats_calls) <= 6, (n, spread)
+            assert spread <= 1e-10 and len(region_stats_calls) <= 4, (n, spread)
 
     @pytest.mark.parametrize("n", [100, 300, 1000, 3000, 10000])
     def test_polished_residual_reaches_rounding_level(self, n):
@@ -341,7 +371,7 @@ class TestNewtonSystem:
         # the first Newton step leaves the ordered, positive-mass points;
         # the solver rejects it and reports the starting point as the best
         n = 7
-        start = math.sqrt(2.0) * np.asarray(inv_cdf(np.arange(1, 4) / n))
+        start = partition_mod._start(n)
         monkeypatch.setattr(partition_mod, "_newton_step",
                             lambda *args: (np.asarray(bad_step(start)), 0.0))
         with warnings.catch_warnings():
@@ -374,11 +404,11 @@ class TestOnePass:
         e = partition_mod._region_stats(np.asarray(p.upper_limits))[2]
         assert values == tuple(e.tolist())
 
-    def test_solve_minimax_1000_makes_5_stats_calls(self, region_stats_calls):
-        # the start, 3 Newton steps and the polishing step, whose statistics
+    def test_solve_minimax_1000_makes_4_stats_calls(self, region_stats_calls):
+        # the start, 2 Newton steps and the polishing step, whose statistics
         # certify the result
         solve_minimax(1000)
-        assert len(region_stats_calls) == 5
+        assert len(region_stats_calls) == 4
 
     def test_errors_field_stays_out_of_init_and_repr(self):
         p = solve_minimax(3)
@@ -461,12 +491,12 @@ class TestSolveLog:
     def test_record_counts_the_solve(self, caplog, region_stats_calls):
         part, record = self.solve_records(caplog, 1000)
         n, iterations, passes, polish_kept, residual = record.args
-        assert (n, iterations) == (1000, 3)
-        assert passes == len(region_stats_calls) == 5
+        assert (n, iterations) == (1000, 2)
+        assert passes == len(region_stats_calls) == 4
         assert polish_kept is True
         e = np.asarray(breakpoint_errors(part).values)
         assert residual == partition_mod._full_residual_norm(e) <= 1e-13
-        assert record.getMessage().startswith("solve_minimax n_regions=1000 iterations=3 ")
+        assert record.getMessage().startswith("solve_minimax n_regions=1000 iterations=2 passes=4 ")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_forms_log_no_iterations(self, caplog, n):
