@@ -97,12 +97,13 @@ class PiecewiseLinear:
 def evaluate(pl: PiecewiseLinear, x: float) -> float:
     """Value of the active segment at x (binary search over breakpoints).
 
-    x is a finite int or float scalar, numpy ones included; bools, strings,
-    complex numbers and None raise DomainError, as in losslin.gaussian.
+    x is a finite int or float scalar, numpy ones included, and is read as
+    a Python float, so the value is a float; bools, strings, complex numbers
+    and None raise DomainError, as in losslin.gaussian.
     """
-    # a Python float, the common case, skips the dtype check
-    if type(x) is not float and (np.ndim(x) != 0 or np.asarray(x).dtype.kind not in "iuf"):
-        raise DomainError(f"evaluate requires an int or float scalar x, got {type(x).__name__}")
+    # a Python float, the common case, skips the dtype check and the conversion
+    if type(x) is not float:
+        x = gaussian._as_float(x, "evaluate")
     if not math.isfinite(x):
         raise DomainError("evaluate requires finite x")
     mu, sigma = pl.scale.mu, pl.scale.sigma

@@ -7,7 +7,9 @@ that matter) and accept int or float scalars and arrays alike.  Scalar
 input returns a plain ``float``.
 
 The private kernel _cdf_phi gives Phi and phi of a finite array in one call,
-bit for bit what cdf and phi return; a Newton pass of the solve makes two.
+bit for bit what cdf and phi return; a pass of region statistics in the
+solve makes two, over the ceil(N/2) symmetry-distinct regions in a Newton
+pass and over all N in the polishing pass.
 """
 
 from __future__ import annotations
@@ -35,6 +37,17 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"arguments must be int or float, got dtype {arr.dtype}")
     return arr.astype(float, copy=False), arr.ndim == 0
+
+
+def _as_float(x, name: str) -> float:
+    """x as a Python float; DomainError unless x is an int or float scalar, numpy ones included."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is None or arr.ndim != 0 or arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} requires an int or float scalar x, got {type(x).__name__}")
+    return float(arr)
 
 
 def phi(x):
@@ -73,10 +86,10 @@ def _cdf_phi(x: np.ndarray, big: np.ndarray, small: np.ndarray):
     """Write cdf(x) into big and phi(x) into small for a finite array x; returns both."""
     # cdf's and phi's operations in their order; the clip at 40 changes only saturated Phi
     t = np.minimum(np.maximum(x, -40.0), 40.0)
-    np.multiply(special.erfc(-t / _SQRT2), 0.5, out=big)
+    np.multiply(special.erfc(t / -_SQRT2), 0.5, out=big)
     np.multiply(-0.5 * t, t, out=small)
     # (-t/2) t rounds to <= -722 exactly when |t| >= 38; saturation is rare
-    if small.min(initial=0.0) <= -0.5 * SATURATION * SATURATION:
+    if np.minimum.reduce(small, initial=0.0) <= -0.5 * SATURATION * SATURATION:
         big[t <= -SATURATION], big[t >= SATURATION] = 0.0, 1.0
     np.multiply(_INV_SQRT_2PI, np.exp(small), out=small)
     return big, small

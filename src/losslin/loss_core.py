@@ -241,10 +241,13 @@ def closs_generic(x: float, dist: GenericDistribution, tol: float = 1e-10) -> fl
 
     This is the independent evaluation route used to validate the closed
     forms; it never calls them.  Absolute accuracy is tol (plus the
-    negligible truncated tail when the support is unbounded below).
+    negligible truncated tail when the support is unbounded below).  x is
+    an int or float scalar, as in losslin.gaussian; bools, strings, complex
+    numbers and None raise DomainError.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tol must be positive")
+    x = gaussian._as_float(x, "closs_generic")
     if not math.isfinite(x):
         raise DomainError("closs_generic requires finite x")
     lo = _lower_cutoff(dist, tol)

@@ -26,6 +26,9 @@ bidiagonal plus one column of -1s, and an exact Newton step costs O(N).
 The partials reuse Phi(m_i) - Phi(b_i) and phi(b_i) from the pass that
 computed the residuals, so a Newton pass evaluates nothing but two fused
 Phi/phi kernel calls, one on the boundaries and one on the conditional means.
+The step reads only the ceil(N/2) symmetry-distinct regions, so the start
+and the Newton trials evaluate only those; the stopping test mirrors their
+errors.
 
 For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
@@ -33,8 +36,11 @@ boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
 density.  Newton starts from closed-form N(0, 2) quantiles at an index
 shifted by 0.15 (_start), inside its quadratic basin for every N, and
 takes full steps only: one or two for N <= 10000.  The step after the
-residual falls to 1e-10 polishes the result to rounding level.  The last
-accepted pass certifies the result; at N = 1000 a solve makes 4 passes.
+residual falls to 1e-10 polishes the result to rounding level; its pass
+covers all N regions and, when the step is kept, certifies the result.  A
+rejected polish (at some N >= 4024) leaves a half pass, which one more pass
+over the other regions completes for the certificate.  At N = 1000 a solve
+makes 4 passes: 3 over 500 regions and the polish over 1000.
 """
 
 from __future__ import annotations
@@ -65,25 +71,34 @@ _TOL = 1e-10
 _MAX_ITER = 200
 
 
-def _region_stats(upper: np.ndarray):
-    """masses, conditional means and breakpoint errors for boundaries b_1..b_N,
-    followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the solver's Jacobian
-    reuses; None if some region has no positive mass or finite conditional mean.
+def _region_stats(upper: np.ndarray, lower: float = -math.inf):
+    """masses, conditional means and breakpoint errors for upper limits b_1..b_k
+    above lower, followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the
+    solver's Jacobian reuses; None if some region has no positive mass or
+    finite conditional mean.
 
-    b_N must be +inf and the interior boundaries finite (Partition and
-    _symmetric_stats check this first).  Two fused kernel calls evaluate Phi
-    and phi at the interior boundaries and at the conditional means.  Positive
-    masses imply strictly increasing boundaries, so None also rejects crossed ones.
+    The limits are finite except a last one of +inf, which closes the
+    partition (Partition and _symmetric_stats check this first).  A finite
+    last limit or a finite lower limit selects a run of a partition's
+    regions, and their stats come out bit for bit as in the full pass, since
+    every operation is elementwise.  Two fused kernel calls evaluate Phi and
+    phi at the finite limits and at the conditional means.  Positive masses
+    imply strictly increasing limits, so None also rejects crossed ones.
     """
+    finite = upper.size - 1 if upper[-1] == math.inf else upper.size
     big_phi, small_phi = np.zeros(upper.size + 1), np.zeros(upper.size + 1)
-    big_phi[-1] = 1.0
-    gaussian._cdf_phi(upper[:-1], big_phi[1:-1], small_phi[1:-1])
+    big_phi[-1] = 1.0  # Phi(+inf); overwritten when the last limit is finite
+    if lower == -math.inf:  # Phi and phi are 0 there
+        gaussian._cdf_phi(upper[:finite], big_phi[1:finite + 1], small_phi[1:finite + 1])
+    else:
+        gaussian._cdf_phi(np.append(lower, upper[:finite]),
+                          big_phi[:finite + 1], small_phi[:finite + 1])
     big_phi_hi, small_phi_hi = big_phi[1:], small_phi[1:]
     p = big_phi_hi - big_phi[:-1]
-    if not (p > 0.0).all():
+    if not np.logical_and.reduce(p > 0.0):
         return None
     m = (small_phi[:-1] - small_phi_hi) / p
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m)):
         return None
     big_m, small_m = gaussian._cdf_phi(m, np.empty_like(m), np.empty_like(m))
     d_phi = big_m - big_phi_hi
@@ -133,17 +148,17 @@ class Partition:
         if stats is None:
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
         p, m, e, _, _ = stats
-        if abs(p.sum() - 1.0) > 1e-12:
+        if abs(np.add.reduce(p) - 1.0) > 1e-12:
             raise InvalidParameterError("region masses must sum to one")
-        if np.any(np.diff(m) <= 0):
+        if np.logical_or.reduce(m[1:] <= m[:-1]):
             raise InvalidParameterError("conditional means must be strictly increasing")
-        lower = np.concatenate(([-np.inf], b[:-1]))
-        if np.any(m <= lower) or np.any(m >= b):
+        # _region_stats gave finite means, so m_1 > -inf = a_1
+        if np.logical_or.reduce(m[1:] <= b[:-1]) or np.logical_or.reduce(m >= b):
             raise InvalidParameterError("each conditional mean must lie inside its region")
         if abs(float(np.dot(p, m))) > 1e-10:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
         vars(self).update(upper_limits=tuple(b.tolist()), masses=tuple(p.tolist()),
-                          cond_means=tuple(m.tolist()), max_error=float(np.max(e)),
+                          cond_means=tuple(m.tolist()), max_error=float(np.maximum.reduce(e)),
                           _errors=tuple(e.tolist()), _chain=None)
         return self
 
@@ -197,14 +212,26 @@ def _expand_symmetric(neg: np.ndarray, n_regions: int) -> np.ndarray:
     return np.concatenate((neg, middle, -neg[::-1]))
 
 
-def _symmetric_stats(neg: np.ndarray, n_regions: int):
-    """Upper limits b_1..b_N of the symmetric point, then its _region_stats;
-    None if some boundary is not finite or some region has no positive mass."""
-    if not np.all(np.isfinite(neg)):
+def _symmetric_stats(neg: np.ndarray, n_regions: int, half: bool = False):
+    """Upper limits b_1..b_N of the symmetric point, or b_1..b_h with
+    h = ceil(N/2) when half, then their _region_stats; None if some boundary
+    is not finite or some region has no positive mass."""
+    if not np.logical_and.reduce(np.isfinite(neg)):
         return None
-    upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
+    if half:
+        # the middle region's upper limit: zero, or the mirror of the last unknown
+        upper = np.empty(neg.size + 1)
+        upper[:-1] = neg
+        upper[-1] = -neg[-1] if n_regions % 2 else 0.0
+    else:
+        upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
     stats = _region_stats(upper)
     return None if stats is None else (upper,) + stats
+
+
+def _mirrored(e: np.ndarray, n_regions: int) -> np.ndarray:
+    """e_1..e_N from e_1..e_h, h = ceil(N/2), as symmetry gives them."""
+    return np.concatenate((e, e[-1 - n_regions % 2::-1]))
 
 
 def _reduced_jacobian(stats, n_regions: int):
@@ -218,8 +245,8 @@ def _reduced_jacobian(stats, n_regions: int):
         de_i/db_i     = (dPhi / p_i + 1) phi(b_i) (b_i - m_i)
         de_i/db_{i-1} = dPhi phi(b_{i-1}) (m_i - b_{i-1}) / p_i
 
-    stats is _symmetric_stats at the point, whose dPhi and phi(b_i) are
-    read, so this evaluates nothing.
+    stats is _symmetric_stats at the point, half or full, whose dPhi and
+    phi(b_i) are read, so this evaluates nothing.
 
     Returns (diag, sub, mid) as read by _newton_step: diag[i] = de_i/db_i
     and sub[i] = de_i/db_{i-1} for the rows i < h - 1 (sub[0] = 0, as the
@@ -250,13 +277,14 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     not a positive normal float gives a NaN step, which the solver rejects.
     """
     n = diag.size
-    big_p = np.ones(n)
-    np.cumprod(-sub[1:] / diag[1:], out=big_p[1:])
+    big_p = np.empty(n)
+    big_p[0] = 1.0
+    np.multiply.accumulate(-sub[1:] / diag[1:], out=big_p[1:])
     if not sys.float_info.min <= big_p[-1] <= sys.float_info.max:
         return np.full(n, math.nan), math.nan
     diag_p = diag * big_p
-    u = big_p * np.cumsum(-r[:n] / diag_p)
-    v = big_p * np.cumsum(1.0 / diag_p)
+    u = big_p * np.add.accumulate(-r[:n] / diag_p)
+    v = big_p * np.add.accumulate(1.0 / diag_p)
     d_eps = float((-r[n] - mid * u[-1]) / (mid * v[-1] - 1.0))
     return u + d_eps * v, d_eps
 
@@ -309,51 +337,58 @@ def solve_minimax(n_regions: int) -> Partition:
     ceil(N/2) symmetry-distinct breakpoints form a square system whose
     exact Jacobian is lower bidiagonal plus a column of -1s, so each Newton
     step costs O(N).  Newton starts at _start's closed-form quantiles,
-    which call no quantile function.  Each full Newton step is kept only
-    if its point has finite boundaries, regions of positive mass and a
-    smaller reduced residual; a rejected step before convergence raises
-    SolverError with the best point.  Once the residuals e_1 - e_k over all breakpoints
-    have norm <= 1e-10 (_TOL), one more step polishes the result, kept on
-    the same terms.  N = 1 and N = 2 are returned analytically.
+    which call no quantile function.  The start and each Newton trial
+    evaluate the ceil(N/2) symmetry-distinct regions only.  Each full
+    Newton step is kept only if its point has finite boundaries, regions
+    of positive mass and a smaller reduced residual; a rejected step before
+    convergence raises SolverError with the best point and its residual
+    over all breakpoints.  Once the residuals e_1 - e_k over all
+    breakpoints, mirrored from the evaluated half, have norm <= 1e-10
+    (_TOL), one more step polishes the result, kept on the same terms.
+    N = 1 and N = 2 are returned analytically.
 
-    The last accepted pass certifies the result, as Partition construction
-    would.  Each call logs one DEBUG record on the losslin.partition logger:
-    N, Newton iterations, region-statistics passes (4 at N = 1000), whether
-    the polishing step was kept, and the final residual norm over all breakpoints.
+    The polishing pass covers all N regions and, when the step is kept,
+    certifies the result, as Partition construction would.  When it is
+    rejected, a pass over the regions past the middle completes the kept
+    point's half pass, and that certifies it.  Each call logs one DEBUG
+    record on the losslin.partition logger: N, Newton iterations,
+    region-statistics passes (4 at N = 1000), whether the polishing step
+    was kept, and the final residual norm over all breakpoints.
     """
     n_regions = check_count(n_regions, 1,
                             f"n_regions must be a positive integer, got {n_regions!r}")
 
     if n_regions <= 2:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
-        _log.debug(_SOLVE_RECORD, n_regions, 0, 1, False,
-                   _full_residual_norm(np.asarray(part._errors)))
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(_SOLVE_RECORD, n_regions, 0, 1, False,
+                       _full_residual_norm(np.asarray(part._errors)))
         return part
 
     rows = (n_regions + 1) // 2
     neg = _start(n_regions)
 
-    stats = _symmetric_stats(neg, n_regions)
-    eps = float(np.mean(stats[3][:rows]))
-    r = stats[3][:rows] - eps
+    stats = _symmetric_stats(neg, n_regions, half=True)
+    eps = float(np.add.reduce(stats[3]) / rows)
+    r = stats[3] - eps
     norm2 = float(r @ r)
     iterations = 0
     passes = 1
 
     while True:
-        residual = _full_residual_norm(stats[3])
         # Newton converges quadratically, so a step from a point that meets
         # _TOL lands at rounding level; that polishing step is the last
-        polishing = residual <= _TOL
+        polishing = _full_residual_norm(_mirrored(stats[3], n_regions)) <= _TOL
         if not polishing and iterations == _MAX_ITER:
             raise SolverError(
                 f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
                 best=_expand_symmetric(neg, n_regions),
-                residual=residual,
+                residual=_residual_at(neg, n_regions),
             )
         delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
         trial_neg = neg + delta
-        trial = _symmetric_stats(trial_neg, n_regions)
+        # the polishing pass covers all regions, as it certifies the result
+        trial = _symmetric_stats(trial_neg, n_regions, half=not polishing)
         kept = False
         if trial is not None:
             passes += 1
@@ -365,6 +400,7 @@ def solve_minimax(n_regions: int) -> Partition:
         if polishing:
             break
         if not kept:
+            residual = _residual_at(neg, n_regions)
             raise SolverError(
                 f"Newton iteration stalled for {n_regions} regions"
                 f" at residual {residual:.3g} > tol {_TOL:.3g}",
@@ -373,9 +409,22 @@ def solve_minimax(n_regions: int) -> Partition:
             )
         iterations += 1
 
-    _log.debug(_SOLVE_RECORD, n_regions, iterations, passes, kept,
-               _full_residual_norm(stats[3]))
+    if not kept:
+        # the polishing step was rejected: the kept point has the stats of
+        # regions 1..h, so complete them with those of regions h+1..N
+        upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
+        rest = _region_stats(upper[rows:], lower=upper[rows - 1])
+        stats = (upper,) + tuple(map(np.concatenate, zip(stats[1:], rest)))
+        passes += 1
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(_SOLVE_RECORD, n_regions, iterations, passes, kept,
+                   _full_residual_norm(stats[3]))
     return Partition.__new__(Partition)._certify(stats[0], stats[1:])
+
+
+def _residual_at(neg: np.ndarray, n_regions: int) -> float:
+    """_full_residual_norm of the symmetric point's errors over all N regions."""
+    return _full_residual_norm(_symmetric_stats(neg, n_regions)[3])
 
 
 def _full_residual_norm(e: np.ndarray) -> float:

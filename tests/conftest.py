@@ -9,9 +9,9 @@ def region_stats_calls(monkeypatch):
     calls = []
     region_stats = partition_mod._region_stats
 
-    def counting(upper):
+    def counting(upper, **kwargs):
         calls.append(upper.size)
-        return region_stats(upper)
+        return region_stats(upper, **kwargs)
 
     monkeypatch.setattr(partition_mod, "_region_stats", counting)
     return calls

@@ -283,9 +283,9 @@ class TestEvaluateAndMaxGap:
             evaluate(pl, math.nan)
 
     @pytest.mark.parametrize("x", ["1", 1 + 0j, None, True, np.True_, np.array([1.0]), [1.0],
-                                   10**400],
+                                   [[1.0], [1.0, 2.0]], 10**400],
                              ids=["str", "complex", "none", "bool", "np-bool", "array",
-                                  "list", "huge-int"])
+                                  "list", "ragged", "huge-int"])
     def test_evaluate_rejects_non_real_scalars(self, x):
         pl = build_lower(solve_minimax(3))
         with pytest.raises(DomainError, match="int or float scalar"):
@@ -299,6 +299,19 @@ class TestEvaluateAndMaxGap:
     def test_evaluate_accepts_int_and_float_scalars(self, x, want):
         pl = build_lower(solve_minimax(3))
         assert evaluate(pl, x) == evaluate(pl, want) == pl(x)
+
+    @pytest.mark.parametrize("x", [np.float32(0.3), np.float64(0.3), np.int64(-2), np.uint8(3),
+                                   np.array(np.float32(0.7))],
+                             ids=["np-float32", "np-float64", "np-int64", "np-uint8", "0-d-float32"])
+    def test_evaluate_returns_a_float_at_float_x(self, x):
+        # x is read as float(x): no single-precision arithmetic, no numpy result
+        pl = build_lower(solve_minimax(5))
+        assert type(evaluate(pl, x)) is float and type(pl(x)) is float
+        assert evaluate(pl, x) == evaluate(pl, float(x)) == pl(x)
+
+    def test_float32_x_keeps_double_precision(self):
+        pl = build_lower(solve_minimax(5))
+        assert evaluate(pl, np.float32(0.3)) == 0.5664742940834702
 
     def test_max_gap_single_region(self):
         gap, x = max_gap(build_lower(solve_minimax(1)), 100_000)

@@ -371,6 +371,22 @@ class TestGenericDistribution:
         assert closs_generic(2.0, uniform, 1e-12) == approx(1.5, abs=1e-10)
         assert closs_generic(-0.5, uniform, 1e-12) == 0.0
 
+    @pytest.mark.parametrize("x", ["1", True, np.True_, 1 + 0j, None, [0.5], np.array([0.5]),
+                                   [[0.5], [0.5, 1.0]], 10**400],
+                             ids=["str", "bool", "np-bool", "complex", "none", "list", "array",
+                                  "ragged", "huge-int"])
+    def test_rejects_non_real_x(self, x):
+        # the int/float rule of losslin.gaussian, not a raw TypeError
+        with pytest.raises(DomainError, match="^closs_generic requires an int or float scalar x"):
+            closs_generic(x, std_normal_generic())
+
+    @pytest.mark.parametrize("x", [1, np.int64(1), np.float32(0.5), np.float64(0.5), np.array(0.5)],
+                             ids=["int", "np-int64", "np-float32", "np-float64", "0-d"])
+    def test_accepts_int_and_float_x(self, x):
+        dist = std_normal_generic()
+        got = closs_generic(x, dist, 1e-10)
+        assert type(got) is float and got == closs_generic(float(x), dist, 1e-10)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             GenericDistribution(cdf=1.0, mean=0.0)
