@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian
-from .errors import BoundViolationError, DomainError, InvalidParameterError
+from .errors import (BoundViolationError, DomainError, InvalidParameterError, _choice, _count,
+                     _instance, _real)
 from .loss_core import NormalParams, STANDARD, closs_std
 from .partition import Partition, breakpoint_errors
 
@@ -63,17 +64,17 @@ class PiecewiseLinear:
 
     def __post_init__(self):
         _check_view(self.scale, self.target)
-        if self.kind not in ("lower", "upper"):
-            raise InvalidParameterError(f"unknown kind {self.kind!r}")
-        bp, s, c = map(_numbers, (self.std_breakpoints, self.std_slopes, self.std_intercepts))
+        _choice(self.kind, ("lower", "upper"), "kind")
+        bp, s, c = (_real(v, InvalidParameterError, "breakpoints, slopes and intercepts must be"
+                          " flat sequences of int or float numbers", 1)
+                    for v in (self.std_breakpoints, self.std_slopes, self.std_intercepts))
         if s.size != c.size or s.size != bp.size + 1:
             raise InvalidParameterError("need one slope/intercept pair per segment")
-        if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
+        if not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0):
             raise InvalidParameterError("breakpoints must be finite and strictly increasing")
-        if bp.size:
-            jump = (s[1:] - s[:-1]) * bp + (c[1:] - c[:-1])
-            if np.max(np.abs(jump)) > 1e-10:
-                raise InvalidParameterError("adjacent segments must agree at breakpoints")
+        jump = (s[1:] - s[:-1]) * bp + (c[1:] - c[:-1])
+        if np.max(np.abs(jump), initial=0.0) > 1e-10:
+            raise InvalidParameterError("adjacent segments must agree at breakpoints")
         base = s + (1.0 if self.target == "loss" else 0.0)
         if abs(base[0]) > 1e-12 or abs(base[-1] - 1.0) > 1e-12:
             raise InvalidParameterError("extreme slopes must match the asymptotes of the target")
@@ -97,13 +98,12 @@ class PiecewiseLinear:
 def evaluate(pl: PiecewiseLinear, x: float) -> float:
     """Value of the active segment at x (binary search over breakpoints).
 
-    x is a finite int or float scalar, numpy ones included, and is read as
-    a Python float, so the value is a float; bools, strings, complex numbers
-    and None raise DomainError, as in losslin.gaussian.
+    x is a finite int or float scalar, and the value is a float.
     """
+    _instance(pl, PiecewiseLinear, "pl")
     # a Python float, the common case, skips the dtype check and the conversion
     if type(x) is not float:
-        x = gaussian._as_float(x, "evaluate")
+        x = _real(x, DomainError, "evaluate requires an int or float scalar x, got {type}", 0)
     if not math.isfinite(x):
         raise DomainError("evaluate requires finite x")
     mu, sigma = pl.scale.mu, pl.scale.sigma
@@ -143,7 +143,7 @@ def _view(std: PiecewiseLinear, scale: NormalParams, target: str) -> PiecewiseLi
 def _standard_chain(partition: Partition):
     """(breakpoint-error spread, tangent chain, lifted chain) of partition,
     validated in standard scale on first use and kept on the partition."""
-    chain = partition._chain
+    chain = _instance(partition, Partition, "partition")._chain
     if chain is None:
         interior, bp = np.asarray(partition.upper_limits[:-1]), partition.cond_means
         big, small = gaussian._cdf_phi(interior, np.empty_like(interior), np.empty_like(interior))
@@ -178,10 +178,8 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
     is validated in standard scale; this is its view at scale and target.
     """
     _check_view(scale, target)
-    try:
-        pts = _numbers(tuple(domain_breakpoints))
-    except TypeError:
-        raise InvalidParameterError("breakpoints must be a sequence of numbers") from None
+    pts = _real(domain_breakpoints, InvalidParameterError,
+                "breakpoints must be a sequence of numbers", 1)
     if pts.size == 0:
         raise InvalidParameterError("need at least one breakpoint")
     if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
@@ -201,10 +199,8 @@ class BoundReport:
 
     A report is its partition, scale and target, the only constructor
     arguments.  Construction rejects a partition whose breakpoint errors
-    spread by more than 1e-6 or more than 1e-5 * max_error.  Its bounds
-    are views (build_lower) of the partition's tangent chain and of that
-    chain with every standard intercept lifted by the partition's maximum
-    error, both validated once per partition.
+    spread by more than 1e-6 or more than 1e-5 * max_error.  Its bounds are
+    views of the partition's chains (see the module docstring).
     The lower bound's error peaks at its breakpoints, the rescaled
     conditional means; the upper bound's at upper_error_locations, the
     rescaled region boundaries and +-infinity.  Both peaks equal max_error,
@@ -218,11 +214,8 @@ class BoundReport:
     upper: PiecewiseLinear = field(init=False)
 
     def __post_init__(self):
-        part = self.partition
-        if not isinstance(part, Partition):
-            raise InvalidParameterError("partition must be a Partition instance")
-        spread, lower, upper = _standard_chain(part)
-        limit = min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * part.max_error)
+        spread, lower, upper = _standard_chain(self.partition)
+        limit = min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * self.partition.max_error)
         if spread > limit:
             raise InvalidParameterError(
                 f"shift construction needs an equal-error partition (spread {spread:.3e} >"
@@ -261,9 +254,12 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
     and the result is scaled by sigma.  Raises BoundViolationError when the
     bound crosses the exact function by more than min(1e-12 sigma, 1e-9).
     Returns (gap, location); the location is -inf or +inf when the gap is
-    largest in a limit.  n_grid is accepted and ignored, so that calls
-    passing a grid size keep working.
+    largest in a limit.  n_grid is None or a grid size >= 2, which is
+    ignored, so that calls passing a grid size keep working.
     """
+    _instance(pl, PiecewiseLinear, "pl")
+    if n_grid is not None:
+        _count(n_grid, 2, "n_grid must be None or an integer >= 2")
     s = np.asarray(pl.std_slopes) + (1.0 if pl.target == "loss" else 0.0)
     c = np.asarray(pl.std_intercepts)
     bp = np.asarray(pl.std_breakpoints)
@@ -294,21 +290,6 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
     return sigma * abs(float(margin[i])), sigma * float(where[i]) + mu
 
 
-def _numbers(values) -> np.ndarray:
-    """values as a flat float array; InvalidParameterError unless its dtype is int or float."""
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError):
-        arr = None
-    # checked before the cast, which would parse strings and read bools as 0 and 1
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise InvalidParameterError(
-            "breakpoints, slopes and intercepts must be flat sequences of int or float numbers")
-    return arr.astype(float, copy=False)
-
-
 def _check_view(scale: NormalParams, target: str):
-    if not isinstance(scale, NormalParams):
-        raise InvalidParameterError("scale must be a NormalParams instance")
-    if target not in ("closs", "loss"):
-        raise InvalidParameterError(f"unknown target {target!r}")
+    _instance(scale, NormalParams, "scale")
+    _choice(target, ("closs", "loss"), "target")

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all losslin modules."""
+"""Exception hierarchy shared by all losslin modules, and the input rules.
+
+Every public entry point checks its arguments through the private rules at
+the end of this module, and each rule takes the message of the error it raises.
+"""
+
+import operator
+import warnings
+from collections.abc import Iterator
+
+import numpy as np
 
 __all__ = ["LossLinError", "DomainError", "InvalidParameterError", "QuadratureError",
            "SolverError", "BoundViolationError"]
@@ -44,3 +54,58 @@ class SolverError(LossLinError, RuntimeError):
 
 class BoundViolationError(LossLinError, RuntimeError):
     """A piecewise-linear bound crossed the exact function beyond tolerance."""
+
+
+_ARGUMENTS = "arguments must be int or float, got dtype {dtype}"
+
+# numpy < 1.24 warns on a ragged sequence and returns an object array; later ones raise
+_RAGGED_WARNING = (np.VisibleDeprecationWarning
+                   if np.lib.NumpyVersion(np.__version__) < "1.24.0" else None)
+
+
+def _real(x, error, message: str, ndim: int | None = None):
+    """x as a float array, or a float if ndim == 0; error(message) unless x is int
+    or float with ndim dimensions (any if None), checked before the cast, which
+    would parse strings, read bools and drop imaginary parts.  An iterator is read
+    into a tuple when ndim == 1.  message may name {dtype} and {type}."""
+    if ndim == 1 and isinstance(x, Iterator):
+        x = tuple(x)
+    try:
+        if _RAGGED_WARNING is None:
+            arr = np.asarray(x)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", _RAGGED_WARNING)
+                arr = np.asarray(x)
+    except (TypeError, ValueError):  # a ragged sequence
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf" or (ndim is not None and arr.ndim != ndim):
+        raise error(message.format(dtype=arr.dtype, type=type(x).__name__))
+    return float(arr) if ndim == 0 else arr.astype(float, copy=False)
+
+
+def _count(value, minimum: int, message: str, maximum: int | None = None) -> int:
+    """value as an int if it is an integer (operator.index, not a bool) in
+    minimum..maximum, else InvalidParameterError(message), naming a limit exceeded."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if maximum is not None and count > maximum:
+                raise InvalidParameterError(f"{message} (the limit is {maximum})")
+            if count >= minimum:
+                return count
+    raise InvalidParameterError(message)
+
+
+def _instance(obj, cls: type, name: str):
+    if not isinstance(obj, cls):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__} instance")
+    return obj
+
+
+def _choice(value, options: tuple[str, ...], name: str) -> None:
+    if not (isinstance(value, str) and value in options):
+        raise InvalidParameterError(f"unknown {name} {value!r}")

@@ -4,9 +4,6 @@ All decimal output uses 17 significant digits, which round-trips IEEE
 doubles exactly, and key order is fixed, so identical inputs always
 produce byte-identical text.  Unbounded segment edges are encoded as
 ``null`` rather than infinity sentinels.
-
-to_json fills the bundle's fixed schema in from the report; ExportBundle
-is only the parsed form that from_json returns.
 """
 
 from __future__ import annotations
@@ -22,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundReport, PiecewiseLinear, evaluate
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _count, _instance
 from .loss_core import closs, loss
-from .partition import Partition, check_count
+from .partition import Partition
 
 __all__ = [
     "ExportBundle",
@@ -116,6 +113,7 @@ def to_json(report: BoundReport) -> str:
     segment rows, and each block fills in its own intercepts.  Segment i
     spans breakpoints i-1 to i, null past either end.
     """
+    _instance(report, BoundReport, "report")
     part, lower, scale = report.partition, report.lower, report.scale
     bp = list(map(_fmt, lower.breakpoints))
     slopes = map(_fmt, lower.slopes)
@@ -176,9 +174,9 @@ def to_csv_table(partitions: list[Partition]) -> str:
     Columns run up to the widest partition; narrower rows leave the
     trailing cells blank.
     """
-    if not partitions:
+    if not _instance(partitions, list, "partitions"):
         raise InvalidParameterError("need at least one partition")
-    width = max(p.n_regions for p in partitions)
+    width = max(_instance(p, Partition, "each partition").n_regions for p in partitions)
     lines = ["segments,error," + ",".join(
         ["param"] + [str(i) for i in range(1, width + 1)])]
     for part in partitions:
@@ -232,6 +230,7 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     node table; the consumer picks a formulation (lambda/SOS2) for it.
     Both variable names must be distinct valid LP identifiers.
     """
+    _instance(report, BoundReport, "report")
     _check_lp_name(var_x, "var_x")
     _check_lp_name(var_L, "var_L")
     if var_x == var_L:
@@ -275,8 +274,10 @@ def plot_data(report: BoundReport, n_points: int) -> str:
 
     The grid spans mu +- 8 sigma, extended to the outermost breakpoints,
     which both bounds share; a grid whose width overflows is rejected.
+    n_points is at most 10**6, which keeps the grid and its text bounded.
     """
-    n_points = check_count(n_points, 2, "n_points must be an integer >= 2")
+    _instance(report, BoundReport, "report")
+    n_points = _count(n_points, 2, "n_points must be an integer >= 2", 10**6)
     lower, upper = report.lower, report.upper
     mu, sigma = report.scale.mu, report.scale.sigma
     start = min(mu - 8.0 * sigma, lower.breakpoints[0])

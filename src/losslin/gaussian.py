@@ -3,13 +3,11 @@
 These are the numeric workhorses of the package: every partition solve and
 every bound evaluation goes through them, so they are implemented with
 double-precision accuracy (absolute error well below 1e-12 on the ranges
-that matter) and accept int or float scalars and arrays alike.  Scalar
-input returns a plain ``float``.
+that matter) and accept int or float scalars and arrays alike, by the
+rule in losslin.errors.  Scalar input returns a plain ``float``.
 
-The private kernel _cdf_phi gives Phi and phi of a finite array in one call,
-bit for bit what cdf and phi return; a pass of region statistics in the
-solve makes two, over the ceil(N/2) symmetry-distinct regions in a Newton
-pass and over all N in the polishing pass.
+The private kernel _cdf_phi gives Phi and phi of an array in one call;
+cdf is its Phi half, and a pass of region statistics in the solve makes two.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import _ARGUMENTS, DomainError, _real
 
 __all__ = ["cdf", "inv_cdf", "phi"]
 
@@ -30,38 +28,18 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SATURATION = 38.0
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    """x as a float array, and whether it was a scalar; DomainError unless int or float."""
-    arr = np.asarray(x)
-    # checked before the cast, which would parse strings and drop imaginary parts
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"arguments must be int or float, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False), arr.ndim == 0
-
-
-def _as_float(x, name: str) -> float:
-    """x as a Python float; DomainError unless x is an int or float scalar, numpy ones included."""
-    try:
-        arr = np.asarray(x)
-    except ValueError:  # a ragged sequence
-        arr = None
-    if arr is None or arr.ndim != 0 or arr.dtype.kind not in "iuf":
-        raise DomainError(f"{name} requires an int or float scalar x, got {type(x).__name__}")
-    return float(arr)
-
-
 def phi(x):
     """Density of the standard normal, (1/sqrt(2*pi)) * exp(-x^2/2).
 
     Raises DomainError for non-finite input.
     """
-    arr, scalar = _as_array(x)
+    arr = _real(x, DomainError, _ARGUMENTS)
     if not np.all(np.isfinite(arr)):
         raise DomainError("phi requires finite input")
     # phi(+/-40) is exactly 0.0 already; clipping keeps x^2 from overflowing
-    arr = arr.clip(-40.0, 40.0)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return float(out) if scalar else out
+    t = arr.clip(-40.0, 40.0)
+    out = _INV_SQRT_2PI * np.exp(-0.5 * t * t)
+    return float(out) if arr.ndim == 0 else out
 
 
 def cdf(x):
@@ -70,26 +48,25 @@ def cdf(x):
     Backed by the complementary error function, which keeps the absolute
     error at the 1e-16 level across [-8, 8].  +/-infinity are accepted as
     limits; finite arguments beyond +/-38 saturate to exactly 0 or 1.
-    Raises DomainError for NaN input.
+    Raises DomainError for NaN input.  This is the Phi half of _cdf_phi.
     """
-    arr, scalar = _as_array(x)
+    arr = _real(x, DomainError, _ARGUMENTS)
     if np.any(np.isnan(arr)):
         raise DomainError("cdf does not accept NaN")
-    clipped = np.clip(arr, -SATURATION, SATURATION)
-    out = 0.5 * special.erfc(-clipped / _SQRT2)
-    out = np.where(arr <= -SATURATION, 0.0, out)
-    out = np.where(arr >= SATURATION, 1.0, out)
-    return float(out) if scalar else out
+    out = _cdf_phi(arr, np.empty_like(arr), np.empty_like(arr))[0]
+    return float(out) if arr.ndim == 0 else out
 
 
 def _cdf_phi(x: np.ndarray, big: np.ndarray, small: np.ndarray):
-    """Write cdf(x) into big and phi(x) into small for a finite array x; returns both."""
-    # cdf's and phi's operations in their order; the clip at 40 changes only saturated Phi
+    """Write Phi(x) into big and phi(x) into small for a float array x without
+    NaN; returns both.  cdf is the Phi half, and phi(x) of finite x
+    is bit for bit what phi returns."""
+    # phi's operations in their order; the clip at 40 changes only saturated Phi
     t = np.minimum(np.maximum(x, -40.0), 40.0)
     np.multiply(special.erfc(t / -_SQRT2), 0.5, out=big)
     np.multiply(-0.5 * t, t, out=small)
     # (-t/2) t rounds to <= -722 exactly when |t| >= 38; saturation is rare
-    if np.minimum.reduce(small, initial=0.0) <= -0.5 * SATURATION * SATURATION:
+    if np.minimum.reduce(small, axis=None, initial=0.0) <= -0.5 * SATURATION * SATURATION:
         big[t <= -SATURATION], big[t >= SATURATION] = 0.0, 1.0
     np.multiply(_INV_SQRT_2PI, np.exp(small), out=small)
     return big, small
@@ -143,7 +120,7 @@ def inv_cdf(p):
     phi as the derivative, which pins |cdf(inv_cdf(p)) - p| below 1e-12
     regardless of the estimate's own accuracy.  Requires 0 < p < 1.
     """
-    arr, scalar = _as_array(p)
+    arr = _real(p, DomainError, _ARGUMENTS)
     if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both comparisons
         raise DomainError("inv_cdf requires 0 < p < 1")
     target = np.atleast_1d(arr)
@@ -157,4 +134,4 @@ def inv_cdf(p):
         x = x - ((big - target) / dens if safe.all()
                  else np.where(safe, (big - target) / np.where(safe, dens, 1.0), 0.0))
     out = x.reshape(arr.shape)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out

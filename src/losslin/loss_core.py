@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian
-from .errors import DomainError, InvalidParameterError, QuadratureError
+from .errors import (_ARGUMENTS, DomainError, InvalidParameterError, QuadratureError, _count,
+                     _instance, _real)
 
 __all__ = [
     "NormalParams",
@@ -63,20 +64,20 @@ class NormalParams:
 STANDARD = NormalParams(0.0, 1.0)
 
 
-def _finite(x) -> tuple[np.ndarray, bool]:
-    arr, scalar = gaussian._as_array(x)
+def _finite(x) -> np.ndarray:
+    arr = _real(x, DomainError, _ARGUMENTS)
     if not np.all(np.isfinite(arr)):
         raise DomainError("loss functions require finite arguments")
-    return arr, scalar
+    return arr
 
 
-def _closs(t: np.ndarray, scalar: bool, sigma: float = 1.0):
-    """sigma * (phi(t) + t * Phi(t)) of a finite float array t; a float if scalar.
+def _closs(t: np.ndarray, sigma: float = 1.0):
+    """sigma * (phi(t) + t * Phi(t)) of a finite float array t; a float if t is 0-d.
     Below -38 the sum is all cancellation and its limit 0 is stored; above 38
     Phi(t) is exactly 1 and phi(t) <= 1.1e-314, so the sum is t already."""
     big, small = gaussian._cdf_phi(t, np.empty_like(t), np.empty_like(t))
     val = sigma * np.where(t < -gaussian.SATURATION, 0.0, small + big * t)
-    return float(val) if scalar else val
+    return float(val) if t.ndim == 0 else val
 
 
 def closs_std(x):
@@ -85,7 +86,7 @@ def closs_std(x):
     Strictly positive for all finite x, tending to 0 as x -> -inf and to
     x as x -> +inf.  Beyond |x| > 38 those limits are returned exactly.
     """
-    return _closs(*_finite(x))
+    return _closs(_finite(x))
 
 
 def loss_std(x):
@@ -95,31 +96,26 @@ def loss_std(x):
     the normal; the survival factor 1 - Phi(x) then comes out as Phi(-x),
     free of cancellation in the right tail.
     """
-    arr, scalar = _finite(x)
-    return _closs(-arr, scalar)
+    return _closs(-_finite(x))
 
 
 def closs(x, params: NormalParams):
     """Complementary loss of a normal(mu, sigma): sigma * closs_std((x - mu)/sigma)."""
-    t, scalar = _standardize(x, params)
-    return _closs(t, scalar, params.sigma)
+    return _closs(_standardize(x, params), params.sigma)
 
 
 def loss(x, params: NormalParams):
     """Loss of a normal(mu, sigma): sigma * loss_std((x - mu)/sigma)."""
-    t, scalar = _standardize(x, params)
-    return _closs(-t, scalar, params.sigma)
+    return _closs(-_standardize(x, params), params.sigma)
 
 
-def _standardize(x, params: NormalParams) -> tuple[np.ndarray, bool]:
-    if not isinstance(params, NormalParams):
-        raise InvalidParameterError("params must be a NormalParams instance")
-    arr, scalar = _finite(x)
+def _standardize(x, params: NormalParams) -> np.ndarray:
+    _instance(params, NormalParams, "params")
     with np.errstate(over="ignore"):
-        t = (arr - params.mu) / params.sigma
+        t = (_finite(x) - params.mu) / params.sigma
     if not np.all(np.isfinite(t)):
         raise DomainError("(x - mu) / sigma overflows a double")
-    return t, scalar
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ class GenericDistribution:
     The mean is an explicit field (not derived from the cdf) because the
     loss/closs relationship identity consumes it directly; deriving it
     numerically would stack a second error source on top of quadrature.
-    The cdf callable must be reentrant.
+    The cdf callable must be reentrant.  mean and the support limits are stored as floats.
     """
 
     cdf: Callable[[float], float]
@@ -144,10 +140,21 @@ class GenericDistribution:
     def __post_init__(self):
         if not callable(self.cdf):
             raise InvalidParameterError("cdf must be callable")
-        if not math.isfinite(self.mean):
+        mean, low, high = (
+            _real(v, InvalidParameterError, "mean and support limits must be numbers", 0)
+            for v in (self.mean, self.support_low, self.support_high))
+        if not math.isfinite(mean):
             raise InvalidParameterError("mean must be finite")
-        if not self.support_low < self.support_high:
+        if not low < high:
             raise InvalidParameterError("support_low must lie below support_high")
+        vars(self).update(mean=mean, support_low=low, support_high=high)
+
+
+def _tolerance(tol) -> float:
+    tol = _real(tol, InvalidParameterError, "tol must be an int or float number", 0)
+    if not tol > 0.0:
+        raise InvalidParameterError("tol must be positive")
+    return tol
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
@@ -155,10 +162,15 @@ def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> 
 
     Splits intervals until the local Richardson error indicator drops
     below the (propagated) tolerance.  Raises QuadratureError, carrying
-    the best estimate, if the depth budget is exhausted anywhere.
+    the best estimate, if the depth budget is exhausted anywhere.  a and b
+    are finite, and max_depth is at most 200, inside Python's recursion limit.
     """
-    if not (tol > 0.0):
-        raise InvalidParameterError("tol must be positive")
+    if not callable(f):
+        raise InvalidParameterError("f must be callable")
+    a, b = (_real(v, DomainError, "integration limits must be finite numbers", 0) for v in (a, b))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("integration limits must be finite numbers")
+    tol, max_depth = _tolerance(tol), _count(max_depth, 0, "max_depth must be in 0..200", 200)
     if b <= a:
         return 0.0
     fa, fb = f(a), f(b)
@@ -190,9 +202,7 @@ def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
 
 def _bracket_quantile(dist: GenericDistribution, p: float) -> float:
     """Locate the p-quantile of dist by bracket expansion plus bisection."""
-    lo, hi = dist.mean - 1.0, dist.mean + 1.0
-    lo = max(lo, dist.support_low)
-    hi = min(hi, dist.support_high)
+    lo, hi = max(dist.mean - 1.0, dist.support_low), min(dist.mean + 1.0, dist.support_high)
     for _ in range(200):
         if dist.cdf(lo) <= p:
             break
@@ -242,12 +252,11 @@ def closs_generic(x: float, dist: GenericDistribution, tol: float = 1e-10) -> fl
     This is the independent evaluation route used to validate the closed
     forms; it never calls them.  Absolute accuracy is tol (plus the
     negligible truncated tail when the support is unbounded below).  x is
-    an int or float scalar, as in losslin.gaussian; bools, strings, complex
-    numbers and None raise DomainError.
+    a finite int or float scalar.
     """
-    if not (tol > 0.0):
-        raise InvalidParameterError("tol must be positive")
-    x = gaussian._as_float(x, "closs_generic")
+    tol = _tolerance(tol)
+    _instance(dist, GenericDistribution, "dist")
+    x = _real(x, DomainError, "closs_generic requires an int or float scalar x, got {type}", 0)
     if not math.isfinite(x):
         raise DomainError("closs_generic requires finite x")
     lo = _lower_cutoff(dist, tol)

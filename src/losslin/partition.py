@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gaussian
-from .errors import InvalidParameterError, SolverError
+from .errors import InvalidParameterError, SolverError, _count, _instance, _real
 
 __all__ = [
     "Partition",
@@ -69,6 +68,9 @@ _log = logging.getLogger(__name__)
 _TOL = 1e-10
 
 _MAX_ITER = 200
+
+# the largest region count solve_minimax takes (parameter_table: one more segment)
+_MAX_REGIONS = 10**6
 
 
 def _region_stats(upper: np.ndarray, lower: float = -math.inf):
@@ -111,11 +113,12 @@ class Partition:
     """N adjacent regions of the standard normal support, given by their boundaries.
 
     upper_limits are b_1 < ... < b_N with b_N = +inf, and they are the only
-    constructor argument.  Construction parses them and certifies one pass
-    of region statistics (_certify, which solve_minimax calls with its last
-    pass): masses and cond_means follow the formulas in the module docstring,
-    max_error is the largest breakpoint error, and the breakpoint errors are
-    kept for breakpoint_errors.  Instances can therefore be trusted downstream.
+    constructor argument.  Construction parses them by losslin.errors' rule and
+    certifies one pass of region statistics (_certify, which solve_minimax
+    calls with its last pass): masses and cond_means follow the formulas in
+    the module docstring, max_error is the largest breakpoint error, and the
+    breakpoint errors are kept for breakpoint_errors.  Instances can
+    therefore be trusted downstream.
     """
 
     upper_limits: tuple[float, ...]
@@ -127,14 +130,8 @@ class Partition:
     _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            b = np.asarray(self.upper_limits)
-        except (TypeError, ValueError):
-            b = None
-        # integer and float dtypes only: strings, objects, bools and complex are rejected
-        if b is None or b.ndim != 1 or b.dtype.kind not in "iuf":
-            raise InvalidParameterError("upper limits must be a flat sequence of numbers")
-        b = b.astype(float, copy=False)
+        b = _real(self.upper_limits, InvalidParameterError,
+                  "upper limits must be a flat sequence of numbers", 1)
         if b.size < 1:
             raise InvalidParameterError("a partition needs at least one region")
         if not math.isinf(b[-1]) or b[-1] < 0:
@@ -195,11 +192,8 @@ class BreakpointErrors:
 
 
 def breakpoint_errors(partition: Partition) -> BreakpointErrors:
-    """Errors at all N breakpoints (the region conditional means).
-
-    These are the errors the partition was certified with on construction.
-    """
-    return BreakpointErrors(values=partition._errors)
+    """Errors at all N breakpoints (the conditional means), as certified on construction."""
+    return BreakpointErrors(values=_instance(partition, Partition, "partition")._errors)
 
 
 # ---------------------------------------------------------------------------
@@ -306,57 +300,27 @@ def _start(n_regions: int) -> np.ndarray:
     return math.sqrt(2.0) * (num / den - t)
 
 
-def check_count(value, minimum: int, message: str) -> int:
-    """Return value as an int if it is an integer >= minimum, else raise message.
-
-    Any integer type passes (operator.index), numpy integers included; bool
-    does not, as True is no count.
-    """
-    if not isinstance(value, bool):
-        try:
-            count = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if count >= minimum:
-                return count
-    raise InvalidParameterError(message)
-
-
 _SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d passes=%d "
                  "polish_kept=%s residual=%.3g")
 
 
 def solve_minimax(n_regions: int) -> Partition:
-    """Solve the equal-error system for an N-region minimax partition.
+    """Solve the equal-error system for an N-region minimax partition, by the
+    Newton iteration of the module docstring; N = 1 and N = 2 are returned
+    analytically, and N is at most 10**6 (_MAX_REGIONS).
 
-    Unknowns are the strictly negative interior boundaries plus the common
-    error eps; the zero middle boundary (when the interior count is odd)
-    and the positive half are generated by symmetry, which enforces the
-    symmetric-optimum property exactly.  The residuals e_i - eps over the
-    ceil(N/2) symmetry-distinct breakpoints form a square system whose
-    exact Jacobian is lower bidiagonal plus a column of -1s, so each Newton
-    step costs O(N).  Newton starts at _start's closed-form quantiles,
-    which call no quantile function.  The start and each Newton trial
-    evaluate the ceil(N/2) symmetry-distinct regions only.  Each full
-    Newton step is kept only if its point has finite boundaries, regions
-    of positive mass and a smaller reduced residual; a rejected step before
-    convergence raises SolverError with the best point and its residual
-    over all breakpoints.  Once the residuals e_1 - e_k over all
-    breakpoints, mirrored from the evaluated half, have norm <= 1e-10
-    (_TOL), one more step polishes the result, kept on the same terms.
-    N = 1 and N = 2 are returned analytically.
-
-    The polishing pass covers all N regions and, when the step is kept,
-    certifies the result, as Partition construction would.  When it is
-    rejected, a pass over the regions past the middle completes the kept
-    point's half pass, and that certifies it.  Each call logs one DEBUG
-    record on the losslin.partition logger: N, Newton iterations,
-    region-statistics passes (4 at N = 1000), whether the polishing step
-    was kept, and the final residual norm over all breakpoints.
+    A full step is kept only if its point has finite boundaries, regions of
+    positive mass and a smaller reduced residual.  A rejected step before
+    convergence raises SolverError with the best point and its residual over
+    all breakpoints.  Once the mirrored residuals e_1 - e_k have norm <= 1e-10
+    (_TOL), one more step polishes the result, kept on the same terms, and
+    the last pass certifies it as Partition construction would.  Each call
+    logs one DEBUG record on the losslin.partition logger: N, Newton
+    iterations, region-statistics passes (4 at N = 1000), whether the
+    polishing step was kept, and the final residual norm over all breakpoints.
     """
-    n_regions = check_count(n_regions, 1,
-                            f"n_regions must be a positive integer, got {n_regions!r}")
+    n_regions = _count(n_regions, 1, f"n_regions must be a positive integer, got {n_regions!r}",
+                       _MAX_REGIONS)
 
     if n_regions <= 2:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
@@ -437,9 +401,11 @@ def parameter_table(max_segments: int) -> list[Partition]:
     """Minimax partitions for every segment count 2..max_segments.
 
     Segment count refers to the piecewise-linear lower bound, which has
-    one segment more than the partition has regions.
+    one segment more than the partition has regions, so max_segments is
+    at most 10**6 + 1, as solve_minimax takes at most 10**6 regions.
     """
-    max_segments = check_count(max_segments, 2, "max_segments must be an integer >= 2")
+    max_segments = _count(max_segments, 2, "max_segments must be an integer >= 2",
+                          _MAX_REGIONS + 1)
     rows = []
     for segments in range(2, max_segments + 1):
         try:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
+from scipy import special
 
 from losslin import DomainError, cdf, inv_cdf, phi
 from losslin import gaussian as gaussian_mod
@@ -180,16 +181,31 @@ def _kernel_bits(x):
     return big.tobytes(), small.tobytes()
 
 
+def _cdf_reference(x):
+    """cdf's formula before it became the kernel's Phi half."""
+    out = 0.5 * special.erfc(-np.clip(x, -38.0, 38.0) / math.sqrt(2.0))
+    out = np.where(x <= -38.0, 0.0, out)
+    return np.where(x >= 38.0, 1.0, out)
+
+
 @given(st.lists(st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200),
                           st.sampled_from(KERNEL_EDGES)), max_size=40))
 def test_fused_kernel_is_bitwise_cdf_and_phi(values):
     x = np.array(values, dtype=float)
-    assert _kernel_bits(x) == (cdf(x).tobytes(), phi(x).tobytes())
+    assert _kernel_bits(x) == (_cdf_reference(x).tobytes(), phi(x).tobytes())
+    assert cdf(x).tobytes() == _kernel_bits(x)[0]
 
 
 def test_fused_kernel_is_bitwise_cdf_and_phi_on_a_dense_grid():
     x = np.concatenate((np.linspace(-41.0, 41.0, 164_001), KERNEL_EDGES))
-    assert _kernel_bits(x) == (cdf(x).tobytes(), phi(x).tobytes())
+    assert _kernel_bits(x) == (_cdf_reference(x).tobytes(), phi(x).tobytes())
+    assert cdf(x).tobytes() == _kernel_bits(x)[0]
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, 38.0, -38.0, 40.0, -40.0, 50.0, -50.0, 0.3])
+def test_cdf_keeps_its_bits_at_the_limits(x):
+    assert cdf(x) == float(_cdf_reference(np.array(x)))
+    assert cdf(np.array([[x]])).tobytes() == _cdf_reference(np.array([[x]])).tobytes()
 
 
 def _inv_cdf_reference(p):
