@@ -1,10 +1,10 @@
 """Piecewise-linear lower and upper bounds of the (complementary) loss function.
 
-Each bound is a chain validated once, in standard scale for the closs
-target, and returned as its view at a NormalParams scale and a target:
-breakpoints sigma t + mu, intercepts sigma c - s mu and, for the "loss"
-target, slopes s - 1, the shear closs(x) - (x - mu).  These maps are
-affine and keep the chain valid, so a view checks only that it is finite.
+Each bound is a standard-scale chain of the complementary loss, whatever its
+target, validated once and placed at a NormalParams scale and a target by one
+affine map, _place: breakpoints sigma t + mu, slopes s or, for the "loss"
+target, s - 1 (the shear loss(x) = closs(x) - (x - mu)), and intercepts
+sigma c - s' mu with the mapped slope s'; a view checks only finiteness.
 The lower bound collects the tangents of the complementary loss at the
 partition boundaries, built once per partition; the upper bound is that
 chain lifted by its maximum error or a chord construction over
@@ -44,12 +44,12 @@ _EQUAL_ERROR_RELATIVE = 1e-5
 class PiecewiseLinear:
     """An ordered chain of linear segments, continuous at its breakpoints.
 
-    std_* fields hold the canonical standard-scale data (one more segment
-    than breakpoints; outer segments unbounded), stored as tuples of Python
-    floats whatever sequence was passed.  The breakpoints, slopes and
-    intercepts fields hold the domain-scale data, which construction
-    computes once and rejects unless every value is finite.  The builders
-    return views of chains validated here in standard scale.
+    std_* fields hold the standard-scale closs chain, whatever the target
+    (one more segment than breakpoints; outer segments unbounded, of slopes
+    0 and 1), as tuples of Python floats whatever sequence was passed.  The
+    breakpoints, slopes and intercepts fields hold its domain rows at scale
+    and target, which construction computes once (_place) and rejects unless
+    every value is finite.  The builders return views of chains validated here.
     """
 
     std_breakpoints: tuple[float, ...]
@@ -75,9 +75,8 @@ class PiecewiseLinear:
         jump = (s[1:] - s[:-1]) * bp + (c[1:] - c[:-1])
         if np.max(np.abs(jump), initial=0.0) > 1e-10:
             raise InvalidParameterError("adjacent segments must agree at breakpoints")
-        base = s + (1.0 if self.target == "loss" else 0.0)
-        if abs(base[0]) > 1e-12 or abs(base[-1] - 1.0) > 1e-12:
-            raise InvalidParameterError("extreme slopes must match the asymptotes of the target")
+        if abs(s[0]) > 1e-12 or abs(s[-1] - 1.0) > 1e-12:
+            raise InvalidParameterError("extreme slopes must be 0 and 1, the asymptotes of closs")
         ds = np.diff(s)
         if self.kind == "lower" and np.any(ds <= 0):
             raise InvalidParameterError("lower-bound slopes must be strictly increasing")
@@ -108,36 +107,35 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
         raise DomainError("evaluate requires finite x")
     mu, sigma = pl.scale.mu, pl.scale.sigma
     idx = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
-    return pl.std_slopes[idx] * x + pl.intercepts[idx]
+    return pl.slopes[idx] * x + pl.intercepts[idx]
 
 
-def _place(pl: PiecewiseLinear) -> None:
-    """Set pl's domain-scale data from its standard data; raises unless finite."""
+def _place(pl: PiecewiseLinear, rows: PiecewiseLinear | None = None) -> PiecewiseLinear:
+    """Set pl's domain rows by the one map of the module docstring and return pl;
+    given rows, a placed chain with pl's breakpoints, slopes, scale and target,
+    share its breakpoints and slopes.  Raises unless every value is finite."""
     mu, sigma = pl.scale.mu, pl.scale.sigma
-    breakpoints = tuple(sigma * t + mu for t in pl.std_breakpoints)
-    intercepts = tuple(sigma * c - s * mu for s, c in zip(pl.std_slopes, pl.std_intercepts))
+    if rows is None:
+        breakpoints = tuple(sigma * t + mu for t in pl.std_breakpoints)
+        slopes = pl.std_slopes if pl.target == "closs" else tuple(s - 1.0 for s in pl.std_slopes)
+    else:
+        breakpoints, slopes = rows.breakpoints, rows.slopes
+    intercepts = tuple(sigma * c - s * mu for s, c in zip(slopes, pl.std_intercepts))
     if not all(map(math.isfinite, breakpoints + intercepts)):
-        raise InvalidParameterError(
-            f"domain-scale breakpoints and intercepts must be finite"
-            f" (mu={mu!r}, sigma={sigma!r})")
-    # rescaling x to (x - mu)/sigma and values by sigma leaves slopes unchanged
-    vars(pl).update(breakpoints=breakpoints, slopes=pl.std_slopes, intercepts=intercepts)
+        raise InvalidParameterError(f"domain-scale breakpoints and intercepts must be finite"
+                                    f" (mu={mu!r}, sigma={sigma!r})")
+    vars(pl).update(breakpoints=breakpoints, slopes=slopes, intercepts=intercepts)
+    return pl
 
 
-def _view(std: PiecewiseLinear, scale: NormalParams, target: str) -> PiecewiseLinear:
-    """std, a validated standard-scale closs chain, at scale and target.
-
-    The maps (see the module docstring) keep continuity, slope order and
-    the asymptotes, so only the scale, the target and finiteness are checked.
-    """
+def _view(std: PiecewiseLinear, scale: NormalParams, target: str,
+          rows: PiecewiseLinear | None = None) -> PiecewiseLinear:
+    """std, a validated chain, placed at scale and target (rows as in _place); the
+    map keeps it valid, so only the scale, the target and finiteness are checked."""
     _check_view(scale, target)
     view = object.__new__(PiecewiseLinear)
-    vars(view).update(
-        std_breakpoints=std.std_breakpoints,
-        std_slopes=std.std_slopes if target == "closs" else tuple(s - 1.0 for s in std.std_slopes),
-        std_intercepts=std.std_intercepts, kind=std.kind, target=target, scale=scale)
-    _place(view)
-    return view
+    vars(view).update(vars(std), target=target, scale=scale)
+    return _place(view, rows)
 
 
 def _standard_chain(partition: Partition):
@@ -174,8 +172,7 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
 
     Adjacent breakpoints are joined by the chord of the complementary
     loss; the unbounded extreme regions get the horizontal line through
-    the first point and the unit-slope line through the last.  The chain
-    is validated in standard scale; this is its view at scale and target.
+    the first point and the unit-slope line through the last.
     """
     _check_view(scale, target)
     pts = _real(domain_breakpoints, InvalidParameterError,
@@ -187,10 +184,9 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
     t = (pts - scale.mu) / scale.sigma
     v = np.atleast_1d(closs_std(t))
     alpha = np.diff(v) / np.diff(t)
-    std = PiecewiseLinear(t, (0.0, *alpha.tolist(), 1.0),
-                          (v[0], *(v[:-1] - alpha * t[:-1]).tolist(), v[-1] - t[-1]),
-                          "upper", "closs", STANDARD)
-    return _view(std, scale, target)
+    return PiecewiseLinear(t, (0.0, *alpha.tolist(), 1.0),
+                           (v[0], *(v[:-1] - alpha * t[:-1]).tolist(), v[-1] - t[-1]),
+                           "upper", target, scale)
 
 
 @dataclass(frozen=True)
@@ -221,8 +217,9 @@ class BoundReport:
                 f"shift construction needs an equal-error partition (spread {spread:.3e} >"
                 f" {limit:.3e}, the lesser of {_EQUAL_ERROR_SPREAD:g} and"
                 f" {_EQUAL_ERROR_RELATIVE:g} * max_error)")
-        object.__setattr__(self, "lower", _view(lower, self.scale, self.target))
-        object.__setattr__(self, "upper", _view(upper, self.scale, self.target))
+        lower = _view(lower, self.scale, self.target)
+        # the upper chain is the lower one lifted, so only its intercepts differ
+        vars(self).update(lower=lower, upper=_view(upper, self.scale, self.target, lower))
 
     @property
     def max_error(self) -> float:
@@ -231,9 +228,7 @@ class BoundReport:
     @property
     def upper_error_locations(self) -> tuple[float, ...]:
         mu, sigma = self.scale.mu, self.scale.sigma
-        return ((-math.inf,)
-                + tuple(sigma * b + mu for b in self.partition.upper_limits[:-1])
-                + (math.inf,))
+        return (-math.inf, *(sigma * b + mu for b in self.partition.upper_limits[:-1]), math.inf)
 
 
 def build_report(partition: Partition, scale: NormalParams = STANDARD,
@@ -249,9 +244,9 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
     segment's line is convex (lower bound) or concave (upper bound) and
     takes its extremes at the segment's ends or at the tangency abscissa
     inv_cdf(slope) clipped to the segment; at -inf and +inf the gap tends
-    to the outer intercepts.  These points are evaluated in standard scale
-    (a loss target's shear removed first, which leaves the gap unchanged)
-    and the result is scaled by sigma.  Raises BoundViolationError when the
+    to the outer intercepts.  These points are evaluated on the standard
+    closs chain, whose gap is the loss target's too (the shear moves the
+    bound and the function alike), and the result is scaled by sigma.  Raises BoundViolationError when the
     bound crosses the exact function by more than min(1e-12 sigma, 1e-9).
     Returns (gap, location); the location is -inf or +inf when the gap is
     largest in a limit.  n_grid is None or a grid size >= 2, which is
@@ -260,13 +255,10 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
     _instance(pl, PiecewiseLinear, "pl")
     if n_grid is not None:
         _count(n_grid, 2, "n_grid must be None or an integer >= 2")
-    s = np.asarray(pl.std_slopes) + (1.0 if pl.target == "loss" else 0.0)
-    c = np.asarray(pl.std_intercepts)
-    bp = np.asarray(pl.std_breakpoints)
+    s, c, bp = map(np.asarray, (pl.std_slopes, pl.std_intercepts, pl.std_breakpoints))
     # tangency abscissae clipped to segment i = [lo[i], hi[i]]; a slope of
     # 0 or 1 clips to an end, and an infinite end is one of the limits
-    lo = np.concatenate(([-np.inf], bp))
-    hi = np.concatenate((bp, [np.inf]))
+    lo, hi = np.concatenate(([-np.inf], bp)), np.concatenate((bp, [np.inf]))
     inside = (s > 0.0) & (s < 1.0)
     tangent = np.where(s <= 0.0, -np.inf, np.inf)
     tangent[inside] = gaussian.inv_cdf(s[inside])

@@ -106,6 +106,15 @@ def _instance(obj, cls: type, name: str):
     return obj
 
 
+def _shown(value, kinds=str) -> str:
+    """repr(value) for a message if value is of kinds, else <the name of its type>,
+    as for an int that Python 3.11+ will not convert (more than 4300 digits)."""
+    try:
+        return repr(value) if isinstance(value, kinds) else f"<{type(value).__name__}>"
+    except ValueError:
+        return f"<{type(value).__name__}>"
+
+
 def _choice(value, options: tuple[str, ...], name: str) -> None:
     if not (isinstance(value, str) and value in options):
-        raise InvalidParameterError(f"unknown {name} {value!r}")
+        raise InvalidParameterError(f"unknown {name} {_shown(value)}")

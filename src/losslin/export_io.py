@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundReport, PiecewiseLinear, evaluate
-from .errors import InvalidParameterError, _count, _instance
+from .errors import InvalidParameterError, _count, _instance, _shown
 from .loss_core import closs, loss
 from .partition import Partition
 
@@ -74,13 +74,17 @@ _SECTIONS = ("metadata", "lower", "upper", "partition")
 
 @dataclass(frozen=True)
 class ExportBundle:
-    """Parsed form of the JSON coefficient document, as from_json returns it;
-    to_text renders whatever its sections hold with the generic renderer."""
+    """The four dict sections of a JSON coefficient document, as from_json returns them."""
 
     metadata: dict
     lower: dict
     upper: dict
     partition: dict
+
+    def __post_init__(self):
+        for name in _SECTIONS:
+            if not isinstance(getattr(self, name), dict):
+                raise InvalidParameterError(f"bundle section {name!r} must be a JSON object")
 
     def to_text(self) -> str:
         try:
@@ -162,9 +166,6 @@ def from_json(text: str) -> ExportBundle:
         sections = [doc[name] for name in _SECTIONS]
     except KeyError as exc:
         raise InvalidParameterError(f"bundle is missing section {exc}") from exc
-    for name, section in zip(_SECTIONS, sections):
-        if not isinstance(section, dict):
-            raise InvalidParameterError(f"bundle section {name!r} must be a JSON object")
     return ExportBundle(*sections)
 
 
@@ -182,9 +183,7 @@ def to_csv_table(partitions: list[Partition]) -> str:
     for part in partitions:
         segs = part.n_regions + 1
         err = _fmt(part.max_error)
-        for label, values in (("b", part.upper_limits),
-                              ("p", part.masses),
-                              ("m", part.cond_means)):
+        for label, values in zip("bpm", (part.upper_limits, part.masses, part.cond_means)):
             cells = [_fmt(v) if math.isfinite(v) else "inf" for v in values]
             cells += [""] * (width - len(cells))
             lines.append(f"{segs},{err},{label}," + ",".join(cells))
@@ -218,16 +217,16 @@ _LP_NAME = re.compile(r"(?![eE](?:[0-9eE]|\Z))"
 
 def _check_lp_name(name: str, role: str) -> None:
     if not isinstance(name, str) or _LP_NAME.fullmatch(name) is None:
-        raise InvalidParameterError(f"{role} is not a valid LP variable name: {name!r}")
+        raise InvalidParameterError(f"{role} is not a valid LP variable name: {_shown(name)}")
 
 
 def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -> str:
     """LP-file constraint text embedding the lower bound's epigraph.
 
     Each lower-bound segment becomes one inequality
-    ``var_L - slope*var_x >= intercept``.  The upper bound is not a max
-    of affine pieces, so it is emitted as a commented breakpoint/value
-    node table; the consumer picks a formulation (lambda/SOS2) for it.
+    ``var_L - slope*var_x >= intercept``.  The upper bound, the lower rows
+    lifted by its max_error, is emitted as a commented breakpoint/value node
+    table; the consumer picks a formulation (lambda/SOS2) for it.
     Both variable names must be distinct valid LP identifiers.
     """
     _instance(report, BoundReport, "report")
@@ -247,14 +246,11 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
         if s != 0.0:
             lhs += _lp_term(s, var_x)
         out.append(f"{lhs} >= {_lp_num(c)}")
-    out.append("\\ upper bound nodes (x, value); slope 0 before the first node,")
-    out.append("\\ slope 1 after the last; apply a lambda or SOS2 formulation")
+    out += ["\\ upper bound nodes (x, value); slope 0 before the first node,",
+            "\\ slope 1 after the last; apply a lambda or SOS2 formulation"]
     for i, bx in enumerate(upper.breakpoints):
         out.append(f"\\ node_{i}: x = {_lp_num(bx)}, value = {_lp_num(evaluate(upper, bx))}")
-    out.append("Bounds")
-    out.append(f" {var_x} free")
-    out.append(f" {var_L} free")
-    out.append("End")
+    out += ["Bounds", f" {var_x} free", f" {var_L} free", "End"]
     return "\n".join(out) + "\n"
 
 

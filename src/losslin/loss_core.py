@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -47,13 +46,8 @@ class NormalParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        # real numbers only, as Partition takes them
-        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (self.mu, self.sigma)):
-            raise InvalidParameterError("mu and sigma must be numbers")
-        try:
-            mu, sigma = float(self.mu), float(self.sigma)
-        except OverflowError:  # an int beyond float range
-            raise InvalidParameterError("mu and sigma must be finite") from None
+        mu, sigma = (_real(v, InvalidParameterError, "mu and sigma must be numbers", 0)
+                     for v in (self.mu, self.sigma))
         if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise InvalidParameterError("mu and sigma must be finite")
         if sigma <= 0.0:

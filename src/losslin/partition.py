@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian
-from .errors import InvalidParameterError, SolverError, _count, _instance, _real
+from .errors import InvalidParameterError, SolverError, _count, _instance, _real, _shown
 
 __all__ = [
     "Partition",
@@ -182,9 +182,16 @@ class Partition:
 
 @dataclass(frozen=True)
 class BreakpointErrors:
-    """Per-breakpoint approximation errors of a partition's lower bound."""
+    """Per-breakpoint approximation errors of a partition's lower bound (at least one)."""
 
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        values = _real(self.values, InvalidParameterError,
+                       "values must be a flat sequence of int or float numbers", 1)
+        if values.size == 0:
+            raise InvalidParameterError("need at least one breakpoint error")
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     @property
     def spread(self) -> float:
@@ -319,8 +326,8 @@ def solve_minimax(n_regions: int) -> Partition:
     iterations, region-statistics passes (4 at N = 1000), whether the
     polishing step was kept, and the final residual norm over all breakpoints.
     """
-    n_regions = _count(n_regions, 1, f"n_regions must be a positive integer, got {n_regions!r}",
-                       _MAX_REGIONS)
+    n_regions = _count(n_regions, 1, "n_regions must be a positive integer, got "
+                       + _shown(n_regions, object), _MAX_REGIONS)
 
     if n_regions <= 2:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))

@@ -235,6 +235,17 @@ class TestChordUpperBound:
         diff = pl_values(pl_c, xs) - (xs - scale.mu) - pl_values(pl_l, xs)
         assert np.max(np.abs(diff)) <= 1e-12
 
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    def test_chord_is_the_constructor_of_its_closs_chain(self, target):
+        scale, nodes = NormalParams(-3.0, 0.25), (-3.4, -3.05, -2.8, -2.2)
+        t = (np.asarray(nodes) - scale.mu) / scale.sigma
+        v = closs_std(t)
+        alpha = np.diff(v) / np.diff(t)
+        chain = PiecewiseLinear(t, (0.0, *alpha, 1.0),
+                                (v[0], *(v[:-1] - alpha * t[:-1]), v[-1] - t[-1]),
+                                "upper", target, scale)
+        assert_same_bound(build_upper_chord(nodes, scale, target), chain)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1,
                     max_size=8, unique=True))
@@ -501,11 +512,11 @@ class TestBoundReport:
             assert BoundReport(part).partition is part
 
 
-def tangent_chain(p: Partition, target: str):
-    """Standard slopes and intercepts of p's tangent chain for target,
-    computed here from the boundaries."""
+def tangent_chain(p: Partition):
+    """Standard closs slopes and intercepts of p's tangent chain, for either
+    target, computed here from the boundaries."""
     b = np.asarray(p.upper_limits[:-1])
-    slopes = np.concatenate(([0.0], cdf(b), [1.0])) - (1.0 if target == "loss" else 0.0)
+    slopes = np.concatenate(([0.0], cdf(b), [1.0]))
     intercepts = np.concatenate(([0.0], phi(b), [0.0]))
     return slopes, intercepts
 
@@ -534,13 +545,27 @@ class TestStandardChainViews:
     def test_views_equal_the_validating_construction(self, segments, mu, sigma, target):
         p = solved(segments - 1)
         scale = NormalParams(mu, sigma)
-        slopes, intercepts = tangent_chain(p, target)
+        slopes, intercepts = tangent_chain(p)
         report = BoundReport(p, scale, target)
         assert_same_bound(report.lower, PiecewiseLinear(
             p.cond_means, slopes, intercepts, "lower", target, scale))
         assert_same_bound(report.upper, PiecewiseLinear(
             p.cond_means, slopes, intercepts + p.max_error, "upper", target, scale))
         assert_same_bound(build_lower(p, scale, target), report.lower)
+
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    def test_sheared_slopes_are_rejected(self, target):
+        p = solved(6)
+        slopes, intercepts = tangent_chain(p)
+        with pytest.raises(InvalidParameterError, match="asymptotes"):
+            PiecewiseLinear(p.cond_means, slopes - 1.0, intercepts, "lower", target, STANDARD)
+
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    def test_the_upper_bound_shares_the_lower_rows(self, target):
+        report = BoundReport(solved(6), NormalParams(2.0, 3.0), target)
+        assert report.upper.breakpoints is report.lower.breakpoints
+        assert report.upper.slopes is report.lower.slopes
+        assert report.upper.intercepts != report.lower.intercepts
 
     @pytest.mark.parametrize("segments", [2, 10, 1000])
     def test_the_cache_leaves_partition_identity_alone(self, segments):
@@ -570,7 +595,7 @@ class TestStandardChainViews:
             with pytest.raises(InvalidParameterError, match="must be finite"):
                 build_lower(p, huge, target)
         report = BoundReport(p, STANDARD, target)
-        slopes, intercepts = tangent_chain(p, target)
+        slopes, intercepts = tangent_chain(p)
         assert_same_bound(report.lower, PiecewiseLinear(
             p.cond_means, slopes, intercepts, "lower", target, STANDARD))
         assert max_gap(report.lower)[0] == approx(p.max_error, rel=1e-12)

@@ -124,6 +124,11 @@ class TestJson:
         with pytest.raises(InvalidParameterError):
             from_json(text)
 
+    def test_bundle_sections_must_be_dicts(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^bundle section 'upper' must be a JSON object$"):
+            losslin.ExportBundle({}, {}, [], {})
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_from_json_rejects_non_json_constants(self, constant):
         # json.loads reads these, and to_text would write them back as nan/inf
@@ -221,7 +226,7 @@ def _literal_report():
     part = Partition.from_boundaries((0.0,))
     assert (part.masses, part.cond_means, part.max_error) == ((0.5, 0.5), (-m, m), e)
     report = BoundReport(part, scale, "loss")
-    slopes = (-1.0, -0.5, 0.0)
+    slopes = (0.0, 0.5, 1.0)
     assert report.lower == PiecewiseLinear((-m, m), slopes, (0.0, 0.3989422804014327, 0.0),
                                            "lower", "loss", scale)
     assert report.upper == PiecewiseLinear((-m, m), slopes, (e, 0.5195983300729288, e),

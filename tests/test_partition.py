@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from losslin import (
+    BreakpointErrors,
     GenericDistribution,
     InvalidParameterError,
     Partition,
@@ -72,6 +73,19 @@ class TestDegenerateCases:
 
 
 class TestBreakpointErrors:
+    @pytest.mark.parametrize("values, message", [
+        ("x", "^values must be a flat sequence"), ((True,), "^values must be a flat sequence"),
+        (((0.1,),), "^values must be a flat sequence"), ((), "^need at least one"),
+    ], ids=["str", "bool", "nested", "empty"])
+    def test_record_rejects_what_is_not_a_number_list(self, values, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            BreakpointErrors(values)
+
+    def test_record_stores_floats(self):
+        errs = BreakpointErrors([1, np.float32(0.5)])
+        assert errs.values == (1.0, 0.5) and all(type(v) is float for v in errs.values)
+        assert errs.spread == 0.5
+
     def test_single_region_error(self):
         p = solve_minimax(1)
         assert breakpoint_errors(p).values[0] == approx(0.398942, abs=1e-6)

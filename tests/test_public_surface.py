@@ -2,9 +2,9 @@
 
 Each callable in test_public_api.PUBLIC has a valid call below, with every
 argument written out.  Hypothesis replaces one argument at a time with a
-hostile value.  A value of a type that no parameter takes must be rejected,
-except by the two plain records.  Callbacks stay valid, and no hostile int is
-a valid count under a count's limit, so no draw starts a long solve.
+hostile value.  A value of a type that no parameter takes must be rejected.
+Callbacks stay valid, and no hostile int is a valid count under a count's
+limit, so no draw starts a long solve.
 """
 
 import math
@@ -26,6 +26,7 @@ from losslin import (
     LossLinError,
     NormalParams,
     Partition,
+    PiecewiseLinear,
     cdf,
     evaluate,
     from_json,
@@ -34,6 +35,7 @@ from losslin import (
     plot_data,
     solve_minimax,
     to_json,
+    to_lp_constraints,
 )
 from losslin import errors as errors_mod
 from test_public_api import PUBLIC
@@ -85,14 +87,11 @@ VALID = {
     "to_lp_constraints": (_REPORT, "x", "L"),
 }
 
-# records that hold whatever they are given
-RECORDS = {"BreakpointErrors", "ExportBundle"}
-
 RAGGED = [[1.0], [1.0, 2.0]]
 HOSTILE = [
     "", "1", True, np.True_, 1 + 0j, None,
     math.nan, math.inf, -math.inf, 1e308,
-    2**64, -(2**64), 10**400,
+    2**64, -(2**64), 10**400, 10**5000,
     [[1.0]], RAGGED, np.array(1.0), np.ones((2, 2)),
     Decimal("1"), Fraction(1, 3),
 ]
@@ -140,6 +139,12 @@ def test_valid_call_succeeds(name):
 @example(name="build_lower", position=2, value=np.array([1, 2]))
 @example(name="PiecewiseLinear", position=3, value=np.array([1, 2]))
 @example(name="solve_minimax", position=0, value=10**400)
+@example(name="solve_minimax", position=0, value=10**5000)
+@example(name="BoundReport", position=2, value=10**5000)
+@example(name="PiecewiseLinear", position=3, value=10**5000)
+@example(name="to_lp_constraints", position=1, value=10**5000)
+@example(name="BreakpointErrors", position=0, value="x")
+@example(name="ExportBundle", position=0, value=1)
 @example(name="parameter_table", position=0, value=2**64)
 @example(name="plot_data", position=1, value=2**64)
 @example(name="cdf", position=0, value=RAGGED)
@@ -155,7 +160,7 @@ def test_hostile_argument_raises_only_losslin_errors(name, position, value):
             getattr(losslin, name)(*args)
         except LossLinError:
             return
-    assert name in RECORDS or not _never_valid(value), \
+    assert not _never_valid(value), \
         f"{name} accepted {value!r} as argument {position}"
 
 
@@ -202,6 +207,18 @@ def test_ragged_input_is_rejected_without_a_warning_on_old_numpy(monkeypatch):
 def test_counts_are_capped_at_a_million(call, message):
     with pytest.raises(InvalidParameterError, match=message):
         call(10**6 + 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: BoundReport(_PART, _SCALE, v), "unknown target"),
+    (lambda v: PiecewiseLinear((0.0,), (0.0, 1.0), (0.4, 0.4), v, "closs", _SCALE),
+     "unknown kind"),
+    (lambda v: to_lp_constraints(_REPORT, v), "var_x is not a valid LP variable name:"),
+], ids=["target", "kind", "lp-name"])
+def test_a_non_str_choice_or_name_is_shown_by_its_type(call, message):
+    # Python 3.11+ refuses to convert an int of more than 4300 digits to a string
+    with pytest.raises(InvalidParameterError, match=f"^{message} <int>$"):
+        call(10**5000)
 
 
 @pytest.mark.parametrize("n_grid", ["junk", 1, 2.0, True])
