@@ -9,5 +9,6 @@ losslin table --max 3 && losslin bounds --segments 5 --format lp > /dev/null && 
 losslin bounds --segments 5 --mu 20 --sigma 5 --target loss --format json --out b.json
 python -c "import losslin; t = open('b.json').read(); assert losslin.from_json(t).to_text() == t"
 python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); losslin.solve_minimax(1000)" 2>&1 | grep -q "passes=4 "
+python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); losslin.solve_minimax(4038)" 2>&1 | grep -q "passes=4 "
 python -c "from losslin import *; ps = [solve_minimax(n) for n in (999, 4038)]; assert all(Partition(p.upper_limits) == p and breakpoint_errors(Partition(p.upper_limits)) == breakpoint_errors(p) for p in ps)"
 python -W error -c "import unittest, numpy as np; from losslin import *; t = unittest.TestCase(); r = BoundReport(solve_minimax(3)); [t.assertRaises(LossLinError, f) for f in (lambda: Partition([[1.0], [1.0, 2.0]]), lambda: solve_minimax(10**400), lambda: to_json('x'), lambda: BoundReport(solve_minimax(3), STANDARD, np.array([1, 2])), lambda: solve_minimax(10**5000), lambda: BoundReport(solve_minimax(3), STANDARD, 10**5000), lambda: PiecewiseLinear((0.0,), (0.0, 1.0), (0.4, 0.4), 10**5000, 'closs', STANDARD), lambda: to_lp_constraints(r, 10**5000))]"

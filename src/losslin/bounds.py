@@ -23,7 +23,7 @@ from . import gaussian
 from .errors import (BoundViolationError, DomainError, InvalidParameterError, _choice, _count,
                      _instance, _real)
 from .loss_core import NormalParams, STANDARD, closs_std
-from .partition import Partition, breakpoint_errors
+from .partition import Partition
 
 __all__ = [
     "PiecewiseLinear",
@@ -149,7 +149,7 @@ def _standard_chain(partition: Partition):
         lifted = tuple(c + partition.max_error for c in intercepts)
         lower = PiecewiseLinear(bp, slopes, intercepts, "lower", "closs", STANDARD)
         upper = PiecewiseLinear(bp, slopes, lifted, "upper", "closs", STANDARD)
-        chain = (breakpoint_errors(partition).spread, lower, upper)
+        chain = (max(partition._errors) - min(partition._errors), lower, upper)
         object.__setattr__(partition, "_chain", chain)
     return chain
 

@@ -37,10 +37,9 @@ density.  Newton starts from closed-form N(0, 2) quantiles at an index
 shifted by 0.15 (_start), inside its quadratic basin for every N, and
 takes full steps only: one or two for N <= 10000.  The step after the
 residual falls to 1e-10 polishes the result to rounding level; its pass
-covers all N regions and, when the step is kept, certifies the result.  A
-rejected polish (at some N >= 4024) leaves a half pass, which one more pass
-over the other regions completes for the certificate.  At N = 1000 a solve
-makes 4 passes: 3 over 500 regions and the polish over 1000.
+covers all N regions and certifies the result.  At N = 1000 a solve makes
+4 passes: 3 over 500 regions and the polish over 1000; no solve with
+N <= 10001 makes more than 4.
 """
 
 from __future__ import annotations
@@ -73,28 +72,24 @@ _MAX_ITER = 200
 _MAX_REGIONS = 10**6
 
 
-def _region_stats(upper: np.ndarray, lower: float = -math.inf):
-    """masses, conditional means and breakpoint errors for upper limits b_1..b_k
-    above lower, followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the
-    solver's Jacobian reuses; None if some region has no positive mass or
-    finite conditional mean.
+def _region_stats(upper: np.ndarray):
+    """masses, conditional means and breakpoint errors for upper limits b_1..b_k,
+    followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the solver's Jacobian
+    reuses; None if some region has no positive mass or finite conditional mean.
 
     The limits are finite except a last one of +inf, which closes the
     partition (Partition and _symmetric_stats check this first).  A finite
-    last limit or a finite lower limit selects a run of a partition's
-    regions, and their stats come out bit for bit as in the full pass, since
-    every operation is elementwise.  Two fused kernel calls evaluate Phi and
-    phi at the finite limits and at the conditional means.  Positive masses
-    imply strictly increasing limits, so None also rejects crossed ones.
+    last limit selects a partition's first k regions, and their stats come
+    out bit for bit as in the full pass, since every operation is
+    elementwise.  Two fused kernel calls evaluate Phi and phi at the finite
+    limits and at the conditional means.  Positive masses imply strictly
+    increasing limits, so None also rejects crossed ones.
     """
     finite = upper.size - 1 if upper[-1] == math.inf else upper.size
     big_phi, small_phi = np.zeros(upper.size + 1), np.zeros(upper.size + 1)
     big_phi[-1] = 1.0  # Phi(+inf); overwritten when the last limit is finite
-    if lower == -math.inf:  # Phi and phi are 0 there
-        gaussian._cdf_phi(upper[:finite], big_phi[1:finite + 1], small_phi[1:finite + 1])
-    else:
-        gaussian._cdf_phi(np.append(lower, upper[:finite]),
-                          big_phi[:finite + 1], small_phi[:finite + 1])
+    # Phi and phi are 0 at the lower limit -inf
+    gaussian._cdf_phi(upper[:finite], big_phi[1:finite + 1], small_phi[1:finite + 1])
     big_phi_hi, small_phi_hi = big_phi[1:], small_phi[1:]
     p = big_phi_hi - big_phi[:-1]
     if not np.logical_and.reduce(p > 0.0):
@@ -320,8 +315,11 @@ def solve_minimax(n_regions: int) -> Partition:
     positive mass and a smaller reduced residual.  A rejected step before
     convergence raises SolverError with the best point and its residual over
     all breakpoints.  Once the mirrored residuals e_1 - e_k have norm <= 1e-10
-    (_TOL), one more step polishes the result, kept on the same terms, and
-    the last pass certifies it as Partition construction would.  Each call
+    (_TOL), one more step polishes the result.  Its point is kept on the
+    first two terms alone, since at rounding level the reduced residual no
+    longer ranks points, and its full pass certifies it as Partition
+    construction would; a polishing point that fails them leaves the
+    converged point, certified by one full pass.  Each call
     logs one DEBUG record on the losslin.partition logger: N, Newton
     iterations, region-statistics passes (4 at N = 1000), whether the
     polishing step was kept, and the final residual norm over all breakpoints.
@@ -364,7 +362,7 @@ def solve_minimax(n_regions: int) -> Partition:
         if trial is not None:
             passes += 1
             trial_r = trial[3][:rows] - (eps + d_eps)
-            if float(trial_r @ trial_r) < norm2:
+            if polishing or float(trial_r @ trial_r) < norm2:
                 neg, eps, stats, r = trial_neg, eps + d_eps, trial, trial_r
                 norm2 = float(r @ r)
                 kept = True
@@ -381,11 +379,8 @@ def solve_minimax(n_regions: int) -> Partition:
         iterations += 1
 
     if not kept:
-        # the polishing step was rejected: the kept point has the stats of
-        # regions 1..h, so complete them with those of regions h+1..N
-        upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
-        rest = _region_stats(upper[rows:], lower=upper[rows - 1])
-        stats = (upper,) + tuple(map(np.concatenate, zip(stats[1:], rest)))
+        # the polishing point is unusable: certify the converged point
+        stats = _symmetric_stats(neg, n_regions)
         passes += 1
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(_SOLVE_RECORD, n_regions, iterations, passes, kept,
