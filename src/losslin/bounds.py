@@ -70,17 +70,19 @@ class PiecewiseLinear:
                     for v in (self.std_breakpoints, self.std_slopes, self.std_intercepts))
         if s.size != c.size or s.size != bp.size + 1:
             raise InvalidParameterError("need one slope/intercept pair per segment")
-        if not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0):
+        if not np.all(np.isfinite(bp)) or np.any(bp[1:] <= bp[:-1]):
             raise InvalidParameterError("breakpoints must be finite and strictly increasing")
-        jump = (s[1:] - s[:-1]) * bp + (c[1:] - c[:-1])
-        if np.max(np.abs(jump), initial=0.0) > 1e-10:
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(c))):
+            raise InvalidParameterError("slopes and intercepts must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the check
+            jump = (s[1:] - s[:-1]) * bp + (c[1:] - c[:-1])
+        if not np.max(np.abs(jump), initial=0.0) <= 1e-10:
             raise InvalidParameterError("adjacent segments must agree at breakpoints")
         if abs(s[0]) > 1e-12 or abs(s[-1] - 1.0) > 1e-12:
             raise InvalidParameterError("extreme slopes must be 0 and 1, the asymptotes of closs")
-        ds = np.diff(s)
-        if self.kind == "lower" and np.any(ds <= 0):
+        if self.kind == "lower" and np.any(s[1:] <= s[:-1]):
             raise InvalidParameterError("lower-bound slopes must be strictly increasing")
-        if self.kind == "upper" and np.any(ds < 0):
+        if self.kind == "upper" and np.any(s[1:] < s[:-1]):
             raise InvalidParameterError("upper-bound slopes must be nondecreasing")
         vars(self).update(std_breakpoints=tuple(bp.tolist()), std_slopes=tuple(s.tolist()),
                           std_intercepts=tuple(c.tolist()))
@@ -179,11 +181,15 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
                 "breakpoints must be a sequence of numbers", 1)
     if pts.size == 0:
         raise InvalidParameterError("need at least one breakpoint")
-    if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
-        raise InvalidParameterError("breakpoints must be finite and strictly increasing")
-    t = (pts - scale.mu) / scale.sigma
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        t = (pts - scale.mu) / scale.sigma
+        dt = np.diff(t) if np.all(np.isfinite(t)) else t
+    # sigma > 0, so this holds of the breakpoints too
+    if not np.all(np.isfinite(dt)) or np.any(t[1:] <= t[:-1]):
+        raise InvalidParameterError("breakpoints must be finite and strictly increasing, and so"
+                                    " must (x - mu) / sigma, with finite differences")
     v = np.atleast_1d(closs_std(t))
-    alpha = np.diff(v) / np.diff(t)
+    alpha = np.diff(v) / dt
     return PiecewiseLinear(t, (0.0, *alpha.tolist(), 1.0),
                            (v[0], *(v[:-1] - alpha * t[:-1]).tolist(), v[-1] - t[-1]),
                            "upper", target, scale)

@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import statistics
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import special
 
+import losslin
 from losslin import DomainError, cdf, inv_cdf, phi
 from losslin import gaussian as gaussian_mod
 
@@ -208,22 +214,65 @@ def test_cdf_keeps_its_bits_at_the_limits(x):
     assert cdf(np.array([[x]])).tobytes() == _cdf_reference(np.array([[x]])).tobytes()
 
 
-def _inv_cdf_reference(p):
-    """inv_cdf's two Newton refinements composed from the public cdf and phi."""
-    x = gaussian_mod._quantile_estimate(p)
-    for _ in range(2):
-        dens = phi(x)
-        safe = dens > 1e-280
-        x = x - np.where(safe, (cdf(x) - p) / np.where(safe, dens, 1.0), 0.0)
-    return x
+def _quantile_reference(p: float) -> float:
+    """x with Phi(x) = p to 45 digits: Newton on log Phi from the stdlib's estimate,
+    solved in the lower tail, where 1 - p is exact for p >= 1/2."""
+    q = min(p, 1.0 - p)
+    with mpmath.workdps(45):
+        x, log_q = mpmath.mpf(statistics.NormalDist().inv_cdf(q)), mpmath.log(q)
+        for _ in range(3):
+            c = mpmath.ncdf(x)
+            x -= (mpmath.log(c) - log_q) * c / mpmath.npdf(x)
+    return float(x) if p <= 0.5 else -float(x)
 
 
-def test_inv_cdf_is_bitwise_its_reference():
-    # 10^-320..10^-282 leaves the density below 1e-280, where refinement is skipped
-    rng = np.random.default_rng(18)
-    ps = np.concatenate((rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-323.0, -1.0, 5000),
-                         1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 5000), [0.5, 0.02425, 0.97575]))
+def test_inv_cdf_matches_a_45_digit_reference():
+    rng = np.random.default_rng(26)
+    ps = np.concatenate((
+        np.ldexp(rng.random(60), rng.integers(-1074, -1022, 60)),  # subnormal
+        np.ldexp(rng.random(200) + 0.5, rng.integers(-1022, -1, 200)),  # lower tail
+        rng.random(200),  # centre
+        1.0 - np.ldexp(rng.random(100) + 0.5, rng.integers(-53, -1, 100)),  # upper tail
+        [2.0**-1074, 2.0**-1022, 0.5, 1.0 - 2.0**-53]))
     ps = ps[(ps > 0.0) & (ps < 1.0)]
-    assert inv_cdf(ps).tobytes() == _inv_cdf_reference(ps).tobytes()
-    for p in ps[::500]:
-        assert inv_cdf(float(p)) == _inv_cdf_reference(np.array([p]))[0]
+    want = np.array([_quantile_reference(float(p)) for p in ps])
+    err = np.abs(inv_cdf(ps) - want) / np.maximum(np.abs(want), 1.0)
+    assert err.max() <= 2e-15
+
+
+def test_inv_cdf_is_antisymmetric_on_dyadic_p():
+    # random doubles are multiples of 2**-53, so 1 - p is exact
+    rng = np.random.default_rng(26)
+    ps = np.concatenate((rng.random(20_000), [2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]))
+    ps = ps[ps > 0.0]
+    assert np.array_equal(inv_cdf(1.0 - ps), -inv_cdf(ps))
+    assert inv_cdf(0.75) == -inv_cdf(0.25)
+
+
+_NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from losslin import cdf, inv_cdf
+x, p = np.frombuffer(sys.stdin.buffer.read()).reshape(2, -1)
+print(*(hashlib.sha256(v.tobytes()).hexdigest() for v in (cdf(x), inv_cdf(p))))
+"""
+
+
+def test_cdf_and_inv_cdf_bytes_do_not_depend_on_simd_dispatch():
+    # numpy picks exp and log kernels by CPU feature; the grid is built without them.
+    # Without AVX-512, or on a numpy that does not know these names, both runs agree.
+    rng = np.random.default_rng(26)
+    n = 100_000
+    x = np.ldexp(rng.random(n) - 0.5, rng.integers(-20, 8, n))
+    p = np.ldexp(rng.random(n), -rng.integers(0, 1075, n))
+    p[::2] = 1.0 - np.ldexp(rng.random(n // 2), -rng.integers(1, 54, n // 2))
+    p[(p <= 0.0) | (p >= 1.0)] = 0.5
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(
+        v for v in (os.path.dirname(os.path.dirname(losslin.__file__)), env.get("PYTHONPATH")) if v)
+    proc = subprocess.run([sys.executable, "-c", _DIGESTS], input=np.stack((x, p)).tobytes(),
+                          capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    here = [hashlib.sha256(v.tobytes()).hexdigest() for v in (cdf(x), inv_cdf(p))]
+    assert proc.stdout.decode().split() == here

@@ -27,6 +27,8 @@ from losslin import (
     NormalParams,
     Partition,
     PiecewiseLinear,
+    STANDARD,
+    build_upper_chord,
     cdf,
     evaluate,
     from_json,
@@ -219,6 +221,36 @@ def test_a_non_str_choice_or_name_is_shown_by_its_type(call, message):
     # Python 3.11+ refuses to convert an int of more than 4300 digits to a string
     with pytest.raises(InvalidParameterError, match=f"^{message} <int>$"):
         call(10**5000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PiecewiseLinear((0.0,), (0.0, 1.0), (math.inf, math.inf), "upper", "closs", STANDARD),
+    lambda: PiecewiseLinear((0.0,), (0.0, math.inf), (0.0, 0.0), "upper", "closs", STANDARD),
+    lambda: PiecewiseLinear((-1e308, 1e308), (0.0, 0.5, 1.0), (0.0, 5e307, -4.5e308),
+                            "upper", "closs", STANDARD),
+    # finite rows whose continuity jump overflows, or is NaN
+    lambda: PiecewiseLinear((-1e308, 1e308), (0.0, 0.5, 1.0), (0.0, 5e307, -1.5e308),
+                            "upper", "closs", STANDARD),
+    lambda: PiecewiseLinear((1e10, 2e10), (0.0, 1e300, 1.0), (1e308, -1e308, 0.0),
+                            "upper", "closs", STANDARD),
+    lambda: build_upper_chord([1e10], NormalParams(0.0, 1e-300)),
+    lambda: build_upper_chord([5.0, 5.0 + 2**-50], NormalParams(-1e10, 1.0)),
+    lambda: build_upper_chord([-1e308, 1e308]),
+], ids=["inf-intercepts", "inf-slope", "wide-breakpoints-inf-intercept", "overflowing-jump",
+        "nan-jump", "overflowing-t", "colliding-t", "overflowing-t-difference"])
+def test_rows_that_overflow_are_rejected_without_a_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            call()
+
+
+def test_breakpoints_further_apart_than_a_double_are_ordered_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pl = PiecewiseLinear((-1e308, 1e308), (0.0, 0.5, 1.0), (0.0, 5e307, 0.0),
+                             "upper", "closs", STANDARD)
+    assert pl.breakpoints == (-1e308, 1e308)
 
 
 @pytest.mark.parametrize("n_grid", ["junk", 1, 2.0, True])
