@@ -319,12 +319,24 @@ class TestQuadrature:
     def test_degenerate_interval(self):
         assert adaptive_simpson(math.sin, 2.0, 2.0, 1e-12) == 0.0
 
+    def test_reversed_interval_is_rejected(self):
+        with pytest.raises(DomainError, match="a <= b"):
+            adaptive_simpson(lambda t: 1.0, 1.0, 0.0, 1e-6)
+
     def test_budget_exhaustion_carries_estimate(self):
-        spike = lambda t: 1.0 / math.sqrt(abs(t) + 1e-14)
+        # a unit step at 1/3 never falls on a dyadic point, so the interval
+        # holding it is still unresolved 48 halvings deep
+        calls = []
+
+        def step(t):
+            calls.append(t)
+            return float(t > 1.0 / 3.0)
+
         with pytest.raises(QuadratureError) as err:
-            adaptive_simpson(spike, -1.0, 1.0, 1e-14, max_depth=3)
+            adaptive_simpson(step, 0.0, 1.0, 1e-12)
+        assert len(calls) == 149
         assert math.isfinite(err.value.estimate)
-        assert err.value.achieved > 1e-14
+        assert err.value.achieved > 1e-12 / 2.0**48
 
     def test_tol_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -372,6 +384,34 @@ class TestGenericDistribution:
         assert closs_generic(2.0, uniform, 1e-12) == approx(1.5, abs=1e-10)
         assert closs_generic(-0.5, uniform, 1e-12) == 0.0
 
+    @pytest.mark.parametrize("x", [1e7, 1e8, 1e15, 1e300])
+    def test_far_right_is_x_in_few_cdf_calls(self, x):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return 0.5 * math.erfc(-t / math.sqrt(2.0))
+
+        assert closs_generic(x, GenericDistribution(cdf=counted, mean=0.0), 1e-10) == approx(
+            x, abs=1e-10)
+        assert len(calls) <= 50
+
+    def test_far_left_is_zero(self):
+        assert closs_generic(-1e300, std_normal_generic(), 1e-10) == 0.0
+
+    @pytest.mark.parametrize("x", [-2.0, 0.0, 1.5, 50.0])
+    def test_student_t3_matches_closed_form(self, x):
+        # F(t) and closs(x) = x F(x) + (3 + x^2)/2 f(x) of Student's t with 3 degrees
+        # of freedom; its |u|^-3 tails leave a truncation error of about 5e-10
+        def t3_cdf(t):
+            return 0.5 + (t / (math.sqrt(3.0) * (1.0 + t * t / 3.0))
+                          + math.atan(t / math.sqrt(3.0))) / math.pi
+
+        density = 6.0 * math.sqrt(3.0) / (math.pi * (3.0 + x * x) ** 2)
+        exact = x * t3_cdf(x) + (3.0 + x * x) / 2.0 * density
+        dist = GenericDistribution(cdf=t3_cdf, mean=0.0)
+        assert closs_generic(x, dist, 1e-10) == approx(exact, abs=1e-8)
+
     @pytest.mark.parametrize("x", ["1", True, np.True_, 1 + 0j, None, [0.5], np.array([0.5]),
                                    [[0.5], [0.5, 1.0]], 10**400],
                              ids=["str", "bool", "np-bool", "complex", "none", "list", "array",
@@ -396,6 +436,8 @@ class TestGenericDistribution:
         with pytest.raises(InvalidParameterError):
             GenericDistribution(cdf=lambda t: t, mean=0.0,
                                 support_low=1.0, support_high=0.0)
+        with pytest.raises(InvalidParameterError, match="^mean must lie in the support$"):
+            GenericDistribution(cdf=lambda t: t, mean=10.0, support_low=0.0, support_high=1.0)
         with pytest.raises(DomainError):
             closs_generic(math.inf, std_normal_generic())
         with pytest.raises(InvalidParameterError):

@@ -65,7 +65,7 @@ VALID = {
     "NormalParams": (1.0, 2.0),
     "Partition": ((-0.5, 0.5, math.inf),),
     "PiecewiseLinear": ((0.0,), (0.0, 1.0), (0.4, 0.4), "lower", "closs", _SCALE),
-    "adaptive_simpson": (_square, 0.0, 1.0, 1e-6, 48),
+    "adaptive_simpson": (_square, 0.0, 1.0, 1e-6),
     "breakpoint_errors": (_PART,),
     "build_lower": (_PART, _SCALE, "loss"),
     "build_report": (_PART, _SCALE, "loss"),
