@@ -97,7 +97,8 @@ class PiecewiseLinear:
 
 
 def evaluate(pl: PiecewiseLinear, x: float) -> float:
-    """Value of the active segment at x (binary search over breakpoints).
+    """Value at x of the row of the segment that holds x, found by binary search
+    over the domain breakpoints; a breakpoint belongs to the segment on its right.
 
     x is a finite int or float scalar, and the value is a float.
     """
@@ -107,8 +108,7 @@ def evaluate(pl: PiecewiseLinear, x: float) -> float:
         x = _real(x, DomainError, "evaluate requires an int or float scalar x, got {type}", 0)
     if not math.isfinite(x):
         raise DomainError("evaluate requires finite x")
-    mu, sigma = pl.scale.mu, pl.scale.sigma
-    idx = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
+    idx = bisect_right(pl.breakpoints, x)
     return pl.slopes[idx] * x + pl.intercepts[idx]
 
 

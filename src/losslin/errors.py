@@ -29,9 +29,9 @@ class InvalidParameterError(LossLinError, ValueError):
 class QuadratureError(LossLinError, RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget.
 
-    The best available estimate and the error indication achieved at that
-    point are attached, so callers can decide whether the partial result
-    is still usable.
+    The estimate of the whole integral at that point and the error
+    indication achieved on the unresolved interval are attached, so callers
+    can decide whether the partial result is still usable.
     """
 
     def __init__(self, message: str, estimate: float, achieved: float):

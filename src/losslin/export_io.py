@@ -184,9 +184,8 @@ def to_csv_table(partitions: list[Partition]) -> str:
         segs = part.n_regions + 1
         err = _fmt(part.max_error)
         for label, values in zip("bpm", (part.upper_limits, part.masses, part.cond_means)):
-            cells = [_fmt(v) if math.isfinite(v) else "inf" for v in values]
-            cells += [""] * (width - len(cells))
-            lines.append(f"{segs},{err},{label}," + ",".join(cells))
+            lines.append(f"{segs},{err},{label}," + ",".join(map(_fmt, values))
+                         + "," * (width - len(values)))
     return "\n".join(lines) + "\n"
 
 

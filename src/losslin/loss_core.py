@@ -156,9 +156,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] by adaptive Simpson subdivision.
 
     Splits intervals until the local Richardson error indicator drops
-    below the (propagated) tolerance.  Raises QuadratureError, carrying
-    the best estimate, if an interval is still unresolved 48 halvings
-    deep.  a <= b are finite; an empty interval integrates to 0.0.
+    below the (propagated) tolerance.  Raises QuadratureError at the first
+    interval still unresolved 48 halvings deep; its estimate is the whole
+    integral, with the intervals not yet visited at their coarse Simpson
+    values.  a <= b are finite; an empty interval integrates to 0.0.
     """
     if not callable(f):
         raise InvalidParameterError("f must be callable")
@@ -174,10 +175,12 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, 48)
+    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, 48, 0.0)
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
+def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth, outside) -> float:
+    """Simpson's integral over [a, b]; outside is the estimate of the rest of
+    the integral, the finished intervals plus those not yet visited."""
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -190,11 +193,11 @@ def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
     if depth <= 0:
         raise QuadratureError(
             f"adaptive Simpson exhausted its subdivision budget on [{a}, {b}]",
-            estimate=left + right + delta / 15.0,
+            estimate=outside + (left + right + delta / 15.0),
             achieved=abs(delta) / 15.0,
         )
-    return (_simpson_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + _simpson_step(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+    done = _simpson_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, outside + right)
+    return done + _simpson_step(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, outside + done)
 
 
 def _cutoff(dist: GenericDistribution, tol: float, side: float) -> float:

@@ -33,13 +33,12 @@ errors.
 For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
-density.  Newton starts from closed-form N(0, 2) quantiles at an index
-shifted by 0.15 (_start), inside its quadratic basin for every N, and
-takes full steps only: one or two for N <= 10000.  The step after the
-residual falls to 1e-10 polishes the result to rounding level; its pass
-covers all N regions and certifies the result.  At N = 1000 a solve makes
-4 passes: 3 over 500 regions and the polish over 1000; no solve with
-N <= 10001 makes more than 4.
+density.  Newton starts from the N(0, 2) quantiles at an index shifted by
+0.15 (_start), inside its quadratic basin for every N, and takes full steps
+only: one or two for N <= 10000.  The step after the residual falls to 1e-10
+polishes the result to rounding level; its pass covers all N regions and
+certifies the result.  At N = 1000 a solve makes 4 passes: 3 over 500
+regions and the polish over 1000; every solve with N <= 10001 makes 3 or 4.
 """
 
 from __future__ import annotations
@@ -286,20 +285,11 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
 
 
 def _start(n_regions: int) -> np.ndarray:
-    """Newton's start: the negative interior boundaries sqrt(2) Q((k + 0.15)/(N + 0.3)),
-    k = 1..ceil(N/2) - 1, with Q Hastings' lower-half normal quantile.
-
-    The solved boundaries sit at N(0, 2) quantiles whose index k is shifted
-    by 0.15-0.17, nearly the same shift for every N.  Hastings' closed form
-    (Abramowitz and Stegun 26.2.23) errs by at most 4.5e-4, smoothly in k, so
-    it barely moves the equal-error residual and the start lies in Newton's
-    quadratic basin without a call of inv_cdf.
-    """
-    u = (np.arange(1, (n_regions + 1) // 2) + 0.15) / (n_regions + 0.3)
-    t = np.sqrt(-2.0 * np.log(u))
-    num = 2.515517 + (0.802853 + 0.010328 * t) * t
-    den = 1.0 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t
-    return math.sqrt(2.0) * (num / den - t)
+    """Newton's start: the negative interior boundaries sqrt(2) inv_cdf((k + 0.15)/(N + 0.3)),
+    k = 1..ceil(N/2) - 1.  The solved ones sit at N(0, 2) quantiles whose index
+    is shifted by 0.15-0.17 for every N, so this lies in Newton's quadratic basin."""
+    k = np.arange(1, (n_regions + 1) // 2)
+    return math.sqrt(2.0) * gaussian.inv_cdf((k + 0.15) / (n_regions + 0.3))
 
 
 _SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d passes=%d "

@@ -32,6 +32,7 @@ from losslin import (
     phi,
     solve_minimax,
 )
+from losslin import export_io
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -738,5 +739,23 @@ def test_scalar_evaluate_is_the_active_domain_segment(n, mu, sigma, target, kind
     report = build_report(solve_minimax(n), scale, target)
     pl = report.lower if kind == "lower" else report.upper
     x = mu + sigma * t
-    i = bisect_right(pl.std_breakpoints, (x - mu) / sigma)
+    i = bisect_right(pl.breakpoints, x)
     assert evaluate(pl, x) == pl.slopes[i] * x + pl.intercepts[i]
+    assert evaluate(pl, x) == export_io._evaluate_array(pl, np.array([x]))[0]
+
+
+def test_scalar_and_array_evaluate_agree_within_an_ulp_of_each_breakpoint():
+    # the pin's scales and a far one; both paths pick the segment by the domain
+    # breakpoints, and a breakpoint belongs to the segment on its right
+    scales = [NormalParams(mu, sigma) for mu, sigma in
+              ((0.0, 1.0), (-12.3, 0.37), (20.0, 5.0), (1e6, 1e-2), (-0.0, 1.0), (1e8, 1.0))]
+    for n in (2, 5, 30, 999):
+        part = solve_minimax(n)
+        for scale in scales:
+            for target in ("closs", "loss"):
+                report = build_report(part, scale, target)
+                for pl in (report.lower, report.upper):
+                    bp = np.asarray(pl.breakpoints)
+                    xs = np.concatenate((np.nextafter(bp, -np.inf), bp, np.nextafter(bp, np.inf)))
+                    scalar = [evaluate(pl, x) for x in xs.tolist()]
+                    assert scalar == export_io._evaluate_array(pl, xs).tolist(), (n, scale, target)

@@ -111,8 +111,9 @@ class TestTable:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_failing_size_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
-        # N = 1 and 2 are analytic; the first Newton solve, 4 segments, stalls
-        monkeypatch.setattr(partition_mod, "_TOL", 1e-30)
+        # N = 1 and 2 are analytic; the first Newton solve, 4 segments, stalls,
+        # as no residual meets a negative tolerance
+        monkeypatch.setattr(partition_mod, "_TOL", -1.0)
         target = tmp_path / "table.csv"
         argv = ("table", "--max", "4")
         rc, out, err = run(capsys, *argv, *(("--out", str(target)) if to_file else ()))
@@ -120,6 +121,7 @@ class TestTable:
         assert out == ""
         assert not target.exists()
         assert len(err.splitlines()) == 1 and err.startswith("error: segment count 4:")
+        assert "stalled" in err
 
 
 class TestBounds:

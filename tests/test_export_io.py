@@ -212,7 +212,7 @@ _LITERAL_LP = (
     '\\ upper bound nodes (x, value); slope 0 before the first node,\n'
     '\\ slope 1 after the last; apply a lambda or SOS2 formulation\n'
     '\\ node_0: x = -12.59521728749706, value = 0.339860025875514\n'
-    '\\ node_1: x = -12.00478271250294, value = 0.044642738378454005\n'
+    '\\ node_1: x = -12.00478271250294, value = 0.044642738378453554\n'
     'Bounds\n'
     ' x free\n'
     ' L free\n'

@@ -17,6 +17,7 @@ from scipy import special
 import losslin
 from losslin import DomainError, cdf, inv_cdf, phi
 from losslin import gaussian as gaussian_mod
+from losslin import partition as partition_mod
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -253,14 +254,16 @@ _NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 _DIGESTS = """
 import hashlib, sys
 import numpy as np
-from losslin import cdf, inv_cdf
+from losslin import cdf, inv_cdf, partition
 x, p = np.frombuffer(sys.stdin.buffer.read()).reshape(2, -1)
-print(*(hashlib.sha256(v.tobytes()).hexdigest() for v in (cdf(x), inv_cdf(p))))
+values = (cdf(x), inv_cdf(p), *map(partition._start, (10, 1000, 10001)))
+print(*(hashlib.sha256(v.tobytes()).hexdigest() for v in values))
 """
 
 
 def test_cdf_and_inv_cdf_bytes_do_not_depend_on_simd_dispatch():
     # numpy picks exp and log kernels by CPU feature; the grid is built without them.
+    # Newton's start in the solve is hashed too, as it is built from inv_cdf.
     # Without AVX-512, or on a numpy that does not know these names, both runs agree.
     rng = np.random.default_rng(26)
     n = 100_000
@@ -274,5 +277,6 @@ def test_cdf_and_inv_cdf_bytes_do_not_depend_on_simd_dispatch():
     proc = subprocess.run([sys.executable, "-c", _DIGESTS], input=np.stack((x, p)).tobytes(),
                           capture_output=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
-    here = [hashlib.sha256(v.tobytes()).hexdigest() for v in (cdf(x), inv_cdf(p))]
+    values = (cdf(x), inv_cdf(p), *map(partition_mod._start, (10, 1000, 10001)))
+    here = [hashlib.sha256(v.tobytes()).hexdigest() for v in values]
     assert proc.stdout.decode().split() == here

@@ -18,7 +18,7 @@ SCALES = (("0", "1"), ("-12.3", "0.37"), ("20", "5"), ("1e6", "1e-2"), ("-0.0", 
 FORMATS = (("--format", "json"), ("--format", "lp"), ("--format", "csv"),
            ("--format", "plot", "--n-points", "201"))
 
-PINNED_SHA256 = "38c428b71343698a45b0da510c06881456b66f0160ceabf850a75ee3511fdd65"
+PINNED_SHA256 = "568329d7ae8240e5d033f3e3d749277011c983f62f5037d6760c648ae4031fc7"
 
 
 def pinned_argv():
