@@ -1,14 +1,14 @@
 """Piecewise-linear lower and upper bounds of the (complementary) loss function.
 
 Each bound is a standard-scale chain of the complementary loss, whatever its
-target, validated once and placed at a NormalParams scale and a target by one
-affine map, _place: breakpoints sigma t + mu, slopes s or, for the "loss"
-target, s - 1 (the shear loss(x) = closs(x) - (x - mu)), and intercepts
-sigma c - s' mu with the mapped slope s'; a view checks only finiteness.
-The lower bound collects the tangents of the complementary loss at the
-partition boundaries, built once per partition; the upper bound is that
-chain lifted by its maximum error or a chord construction over
-caller-chosen breakpoints.
+target, placed at a NormalParams scale and a target by one affine map, _place:
+breakpoints sigma t + mu, slopes s or, for the "loss" target, s - 1 (the shear
+loss(x) = closs(x) - (x - mu)), and intercepts sigma c - s' mu with the mapped
+slope s'; a view checks only the scale, the target and finiteness.  The lower
+bound collects the tangents of the complementary loss at the partition
+boundaries, the chain the partition builds once (Partition._chain), which its
+certification proves; the upper bound is that chain lifted by its maximum error
+or a chord construction over caller-chosen breakpoints, validated here.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gaussian
 from .errors import (BoundViolationError, DomainError, InvalidParameterError, _choice, _count,
                      _instance, _real)
+from .gaussian import inv_cdf
 from .loss_core import NormalParams, STANDARD, closs_std
 from .partition import Partition
 
@@ -35,9 +35,10 @@ __all__ = [
     "max_gap",
 ]
 
-# BoundReport's spread limits; only the relative one binds once max_error <= 1e-6
+# BoundReport's spread limits: the lesser of the first two, but at least the float-noise floor
 _EQUAL_ERROR_SPREAD = 1e-6
 _EQUAL_ERROR_RELATIVE = 1e-5
+_EQUAL_ERROR_FLOOR = 64 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -130,30 +131,18 @@ def _place(pl: PiecewiseLinear, rows: PiecewiseLinear | None = None) -> Piecewis
     return pl
 
 
-def _view(std: PiecewiseLinear, scale: NormalParams, target: str,
-          rows: PiecewiseLinear | None = None) -> PiecewiseLinear:
-    """std, a validated chain, placed at scale and target (rows as in _place); the
-    map keeps it valid, so only the scale, the target and finiteness are checked."""
+def _view(partition: Partition, scale: NormalParams, target: str,
+          lower: PiecewiseLinear | None = None) -> PiecewiseLinear:
+    """partition's tangent chain, which certification proves (Partition._chain), placed at
+    scale and target or, given its lower view there, lifted by max_error on that view's
+    rows (_place); the map keeps it valid, so only scale, target and finiteness are checked."""
     _check_view(scale, target)
+    _, slopes, tangents, lifted = partition._chain
     view = object.__new__(PiecewiseLinear)
-    vars(view).update(vars(std), target=target, scale=scale)
-    return _place(view, rows)
-
-
-def _standard_chain(partition: Partition):
-    """(breakpoint-error spread, tangent chain, lifted chain) of partition,
-    validated in standard scale on first use and kept on the partition."""
-    chain = _instance(partition, Partition, "partition")._chain
-    if chain is None:
-        interior, bp = np.asarray(partition.upper_limits[:-1]), partition.cond_means
-        big, small = gaussian._cdf_phi(interior, np.empty_like(interior), np.empty_like(interior))
-        slopes, intercepts = (0.0, *big.tolist(), 1.0), (0.0, *small.tolist(), 0.0)
-        lifted = tuple(c + partition.max_error for c in intercepts)
-        lower = PiecewiseLinear(bp, slopes, intercepts, "lower", "closs", STANDARD)
-        upper = PiecewiseLinear(bp, slopes, lifted, "upper", "closs", STANDARD)
-        chain = (max(partition._errors) - min(partition._errors), lower, upper)
-        object.__setattr__(partition, "_chain", chain)
-    return chain
+    vars(view).update(std_breakpoints=partition.cond_means, std_slopes=slopes,
+                      std_intercepts=tangents if lower is None else lifted,
+                      kind="lower" if lower is None else "upper", target=target, scale=scale)
+    return _place(view, lower)
 
 
 def build_lower(partition: Partition, scale: NormalParams = STANDARD,
@@ -163,9 +152,9 @@ def build_lower(partition: Partition, scale: NormalParams = STANDARD,
     In standard scale segment i is the tangent of the complementary loss
     at boundary b_i (slope Phi(b_i), intercept phi(b_i)); segment 0 is the
     zero function and the breakpoints fall at the conditional means.  The
-    chain is validated once per partition; this is its view at scale and target.
+    partition builds and proves it once; this is its view at scale and target.
     """
-    return _view(_standard_chain(partition)[1], scale, target)
+    return _view(_instance(partition, Partition, "partition"), scale, target)
 
 
 def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
@@ -201,8 +190,8 @@ class BoundReport:
 
     A report is its partition, scale and target, the only constructor
     arguments.  Construction rejects a partition whose breakpoint errors
-    spread by more than 1e-6 or more than 1e-5 * max_error.  Its bounds are
-    views of the partition's chains (see the module docstring).
+    spread by more than 1e-6 or 1e-5 * max_error, and by more than 64 * 2**-52.
+    Its bounds are views of the partition's chains (see the module docstring).
     The lower bound's error peaks at its breakpoints, the rescaled
     conditional means; the upper bound's at upper_error_locations, the
     rescaled region boundaries and +-infinity.  Both peaks equal max_error,
@@ -216,16 +205,17 @@ class BoundReport:
     upper: PiecewiseLinear = field(init=False)
 
     def __post_init__(self):
-        spread, lower, upper = _standard_chain(self.partition)
-        limit = min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * self.partition.max_error)
+        spread = _instance(self.partition, Partition, "partition")._chain[0]
+        limit = max(min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * self.partition.max_error),
+                    _EQUAL_ERROR_FLOOR)
         if spread > limit:
             raise InvalidParameterError(
                 f"shift construction needs an equal-error partition (spread {spread:.3e} >"
-                f" {limit:.3e}, the lesser of {_EQUAL_ERROR_SPREAD:g} and"
-                f" {_EQUAL_ERROR_RELATIVE:g} * max_error)")
-        lower = _view(lower, self.scale, self.target)
+                f" {limit:.3e}, min({_EQUAL_ERROR_SPREAD:g}, {_EQUAL_ERROR_RELATIVE:g}*max_error)"
+                f" but at least the float-noise floor {_EQUAL_ERROR_FLOOR:.3g})")
+        lower = _view(self.partition, self.scale, self.target)
         # the upper chain is the lower one lifted, so only its intercepts differ
-        vars(self).update(lower=lower, upper=_view(upper, self.scale, self.target, lower))
+        vars(self).update(lower=lower, upper=_view(self.partition, self.scale, self.target, lower))
 
     @property
     def max_error(self) -> float:
@@ -267,7 +257,7 @@ def max_gap(pl: PiecewiseLinear, n_grid=None) -> tuple[float, float]:
     lo, hi = np.concatenate(([-np.inf], bp)), np.concatenate((bp, [np.inf]))
     inside = (s > 0.0) & (s < 1.0)
     tangent = np.where(s <= 0.0, -np.inf, np.inf)
-    tangent[inside] = gaussian.inv_cdf(s[inside])
+    tangent[inside] = inv_cdf(s[inside])
     tangent = np.clip(tangent, lo, hi)
     finite = np.isfinite(tangent)
     # each breakpoint is evaluated with the lines of both segments it ends,

@@ -47,6 +47,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,8 +121,6 @@ class Partition:
     cond_means: tuple[float, ...] = field(init=False)
     max_error: float = field(init=False)
     _errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # the standard-scale bound chain, which losslin.bounds fills on first use
-    _chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = _real(self.upper_limits, InvalidParameterError,
@@ -150,8 +149,21 @@ class Partition:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
         vars(self).update(upper_limits=tuple(b.tolist()), masses=tuple(p.tolist()),
                           cond_means=tuple(m.tolist()), max_error=float(np.maximum.reduce(e)),
-                          _errors=tuple(e.tolist()), _chain=None)
+                          _errors=tuple(e.tolist()))
         return self
+
+    @cached_property
+    def _chain(self) -> tuple:
+        """(error spread, slopes, tangent intercepts, lifted intercepts) of the standard chain
+        over cond_means: (0, Phi(b_i)..., 1), (0, phi(b_i)..., 0), those plus max_error.  It
+        needs no check: positive masses make Phi(b_i) rise strictly from 0 to 1, the means are
+        certified finite and increasing, the tangents at b_(i-1) and b_i meet at m_i by the
+        definition of m_i, and the upper chain is the lower one lifted by max_error."""
+        interior = np.asarray(self.upper_limits[:-1])
+        big, small = gaussian._cdf_phi(interior, np.empty_like(interior), np.empty_like(interior))
+        intercepts = (0.0, *small.tolist(), 0.0)
+        return (max(self._errors) - min(self._errors), (0.0, *big.tolist(), 1.0), intercepts,
+                tuple(c + self.max_error for c in intercepts))
 
     @property
     def n_regions(self) -> int:

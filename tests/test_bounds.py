@@ -512,6 +512,16 @@ class TestBoundReport:
             part = solve_minimax(n)
             assert BoundReport(part).partition is part
 
+    @pytest.mark.parametrize("n", [10**5, 3 * 10**5])
+    def test_accepts_large_solved_partitions_by_the_noise_floor(self, n):
+        # the float spread stays ~1e-15 while 1e-5 * max_error falls below it
+        # from N ~ 90000 on, so only the 64 * 2**-52 floor admits these
+        part = solve_minimax(n)
+        assert breakpoint_errors(part).spread > 1e-5 * part.max_error
+        report = BoundReport(part)
+        for bound in (report.lower, report.upper):
+            assert max_gap(bound)[0] == approx(report.max_error, rel=1e-3)
+
 
 def tangent_chain(p: Partition):
     """Standard closs slopes and intercepts of p's tangent chain, for either
@@ -574,9 +584,23 @@ class TestStandardChainViews:
         twin = Partition(fresh.upper_limits)
         before = hash(fresh), repr(fresh)
         BoundReport(fresh, NormalParams(3.0, 2.0), "loss")
-        assert fresh._chain is not None and twin._chain is None
+        # reading twin._chain would build it, so look in the instance dicts
+        assert "_chain" in vars(fresh) and "_chain" not in vars(twin)
         assert (hash(fresh), repr(fresh)) == before
         assert fresh == twin and hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
+
+    @pytest.mark.parametrize("source", [1, 2, 3, 40, 1000, 10001, (-2.0, 0.0, 2.0),
+                                        (-37.0, -1.0, 0.0, 2.0, 5.0), (-1e-9, 1e-9)])
+    def test_the_unchecked_chain_passes_the_validating_constructor(self, source):
+        # views skip the constructor's checks; the partition's chain passes them,
+        # whether the partition is solved or has unequal errors
+        p = solved(source) if isinstance(source, int) else Partition.from_boundaries(source)
+        spread, slopes, tangents, raised = p._chain
+        assert spread == breakpoint_errors(p).spread
+        assert_same_bound(build_lower(p), PiecewiseLinear(
+            p.cond_means, slopes, tangents, "lower", "closs", STANDARD))
+        upper = PiecewiseLinear(p.cond_means, slopes, raised, "upper", "closs", STANDARD)
+        assert upper.std_intercepts == tuple(c + p.max_error for c in tangents)
 
     @pytest.mark.parametrize("target", ["closs", "loss"])
     def test_unequal_errors_are_rejected_on_every_report(self, target):
