@@ -35,10 +35,9 @@ __all__ = [
     "max_gap",
 ]
 
-# BoundReport's spread limits: the lesser of the first two, but at least the float-noise floor
+# BoundReport's spread limit: the lesser of the two
 _EQUAL_ERROR_SPREAD = 1e-6
 _EQUAL_ERROR_RELATIVE = 1e-5
-_EQUAL_ERROR_FLOOR = 64 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ class BoundReport:
 
     A report is its partition, scale and target, the only constructor
     arguments.  Construction rejects a partition whose breakpoint errors
-    spread by more than 1e-6 or 1e-5 * max_error, and by more than 64 * 2**-52.
+    spread by more than 1e-6 or 1e-5 * max_error.
     Its bounds are views of the partition's chains (see the module docstring).
     The lower bound's error peaks at its breakpoints, the rescaled
     conditional means; the upper bound's at upper_error_locations, the
@@ -206,13 +205,11 @@ class BoundReport:
 
     def __post_init__(self):
         spread = _instance(self.partition, Partition, "partition")._chain[0]
-        limit = max(min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * self.partition.max_error),
-                    _EQUAL_ERROR_FLOOR)
+        limit = min(_EQUAL_ERROR_SPREAD, _EQUAL_ERROR_RELATIVE * self.partition.max_error)
         if spread > limit:
             raise InvalidParameterError(
                 f"shift construction needs an equal-error partition (spread {spread:.3e} >"
-                f" {limit:.3e}, min({_EQUAL_ERROR_SPREAD:g}, {_EQUAL_ERROR_RELATIVE:g}*max_error)"
-                f" but at least the float-noise floor {_EQUAL_ERROR_FLOOR:.3g})")
+                f" {limit:.3e}, min({_EQUAL_ERROR_SPREAD:g}, {_EQUAL_ERROR_RELATIVE:g}*max_error))")
         lower = _view(self.partition, self.scale, self.target)
         # the upper chain is the lower one lifted, so only its intercepts differ
         vars(self).update(lower=lower, upper=_view(self.partition, self.scale, self.target, lower))

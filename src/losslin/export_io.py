@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, PiecewiseLinear, evaluate
+from .bounds import BoundReport, PiecewiseLinear
 from .errors import InvalidParameterError, _count, _instance, _shown
 from .loss_core import closs, loss
 from .partition import Partition
@@ -223,9 +223,9 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     """LP-file constraint text embedding the lower bound's epigraph.
 
     Each lower-bound segment becomes one inequality
-    ``var_L - slope*var_x >= intercept``.  The upper bound, the lower rows
-    lifted by its max_error, is emitted as a commented breakpoint/value node
-    table; the consumer picks a formulation (lambda/SOS2) for it.
+    ``var_L - slope*var_x >= intercept``.  The upper bound, these rows lifted by
+    max_error, is ``var_L + max_error``, which needs no rows: a header comment
+    states it, and that both bounds are tight where the model minimises var_L.
     Both variable names must be distinct valid LP identifiers.
     """
     _instance(report, BoundReport, "report")
@@ -233,11 +233,13 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
     _check_lp_name(var_L, "var_L")
     if var_x == var_L:
         raise InvalidParameterError(f"var_x and var_L must differ, both are {var_x!r}")
-    lower, upper, scale = report.lower, report.upper, report.scale
+    lower, scale = report.lower, report.scale
     out = [
         f"\\ {TOOL_NAME} {__version__}: piecewise linear bounds for target"
         f" {report.target}, normal(mu={_lp_num(scale.mu)}, sigma={_lp_num(scale.sigma)})",
         f"\\ lower bound: {var_L} >= slope*{var_x} + intercept, one row per segment",
+        f"\\ upper bound: {var_L} + {_lp_num(report.max_error)}, the lower rows lifted by"
+        f" max_error; both are tight where the model minimises {var_L}",
         "Subject To",
     ]
     for i, (s, c) in enumerate(zip(lower.slopes, lower.intercepts)):
@@ -245,10 +247,6 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
         if s != 0.0:
             lhs += _lp_term(s, var_x)
         out.append(f"{lhs} >= {_lp_num(c)}")
-    out += ["\\ upper bound nodes (x, value); slope 0 before the first node,",
-            "\\ slope 1 after the last; apply a lambda or SOS2 formulation"]
-    for i, bx in enumerate(upper.breakpoints):
-        out.append(f"\\ node_{i}: x = {_lp_num(bx)}, value = {_lp_num(evaluate(upper, bx))}")
     out += ["Bounds", f" {var_x} free", f" {var_L} free", "End"]
     return "\n".join(out) + "\n"
 

@@ -69,7 +69,7 @@ _TOL = 1e-10
 _MAX_ITER = 200
 
 # the largest region count solve_minimax takes (parameter_table: one more segment)
-_MAX_REGIONS = 10**6
+_MAX_REGIONS = 3 * 10**4
 
 
 def _region_stats(upper: np.ndarray):
@@ -280,7 +280,7 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     q = -r / diag and 1 / diag, solved as the prefix scan x = P cumsum(q / P),
     P = cumprod(rho) (Blelloch, CMU-CS-90-190, 1990).  The middle row then
     fixes d_eps.  Over every pass for N <= 10001, rho lay in [0.549, 1) and
-    P_n >= 1.1e-3 (rho >= 0.543, P_n >= 4.4e-5 at N = 300000); a P_n that is
+    P_n >= 1.1e-3 (rho >= 0.546, P_n >= 3.9e-4 at N = 30000); a P_n that is
     not a positive normal float gives a NaN step, which the solver rejects.
     """
     n = diag.size
@@ -311,7 +311,7 @@ _SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d passes=%d "
 def solve_minimax(n_regions: int) -> Partition:
     """Solve the equal-error system for an N-region minimax partition, by the
     Newton iteration of the module docstring; N = 1 and N = 2 are returned
-    analytically, and N is at most 10**6 (_MAX_REGIONS).
+    analytically, and N is at most 30000 (_MAX_REGIONS): past 10**5 a solve is not minimax.
 
     A full step is kept only if its point has finite boundaries, regions of
     positive mass and a smaller reduced residual.  A rejected step before
@@ -406,7 +406,7 @@ def parameter_table(max_segments: int) -> list[Partition]:
 
     Segment count refers to the piecewise-linear lower bound, which has
     one segment more than the partition has regions, so max_segments is
-    at most 10**6 + 1, as solve_minimax takes at most 10**6 regions.
+    at most 30001, as solve_minimax takes at most 30000 regions.
     """
     max_segments = _count(max_segments, 2, "max_segments must be an integer >= 2",
                           _MAX_REGIONS + 1)

@@ -512,15 +512,18 @@ class TestBoundReport:
             part = solve_minimax(n)
             assert BoundReport(part).partition is part
 
-    @pytest.mark.parametrize("n", [10**5, 3 * 10**5])
-    def test_accepts_large_solved_partitions_by_the_noise_floor(self, n):
-        # the float spread stays ~1e-15 while 1e-5 * max_error falls below it
-        # from N ~ 90000 on, so only the 64 * 2**-52 floor admits these
-        part = solve_minimax(n)
-        assert breakpoint_errors(part).spread > 1e-5 * part.max_error
+    def test_accepts_the_largest_solved_partition(self):
+        part = solve_minimax(30000)
+        assert breakpoint_errors(part).spread <= 0.2 * 1e-5 * part.max_error
         report = BoundReport(part)
         for bound in (report.lower, report.upper):
-            assert max_gap(bound)[0] == approx(report.max_error, rel=1e-3)
+            assert max_gap(bound)[0] == approx(report.max_error, rel=1e-6)
+
+    def test_partitions_past_the_cap_are_not_solved(self):
+        # past 10**5 regions the float breakpoint errors no longer resolve the
+        # spread, so such partitions are refused before any report is built
+        with pytest.raises(InvalidParameterError, match=r"\(the limit is 30000\)$"):
+            solve_minimax(10**5)
 
 
 def tangent_chain(p: Partition):

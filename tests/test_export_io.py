@@ -19,7 +19,9 @@ from losslin import (
     PiecewiseLinear,
     build_report,
     from_json,
+    inv_cdf,
     parameter_table,
+    phi,
     plot_data,
     solve_minimax,
     to_csv_table,
@@ -205,14 +207,12 @@ _LITERAL_JSON = (
 _LITERAL_LP = (
     '\\ losslin @V@: piecewise linear bounds for target loss, normal(mu=-12.3, sigma=0.37)\n'
     '\\ lower bound: L >= slope*x + intercept, one row per segment\n'
+    '\\ upper bound: L + 0.044642738378453554, the lower rows lifted by max_error;'
+    ' both are tight where the model minimises L\n'
     'Subject To\n'
     ' lower_0: L + x >= -12.3\n'
     ' lower_1: L + 0.5 x >= -6.00239135625147\n'
     ' lower_2: L >= 0\n'
-    '\\ upper bound nodes (x, value); slope 0 before the first node,\n'
-    '\\ slope 1 after the last; apply a lambda or SOS2 formulation\n'
-    '\\ node_0: x = -12.59521728749706, value = 0.339860025875514\n'
-    '\\ node_1: x = -12.00478271250294, value = 0.044642738378453554\n'
     'Bounds\n'
     ' x free\n'
     ' L free\n'
@@ -456,11 +456,16 @@ class TestLpConstraints:
             assert s_sc == approx(s_std, abs=1e-12)
             assert c_sc == approx(5.0 * c_std - s_std * 20.0, abs=1e-9)
 
-    def test_upper_nodes_emitted_as_comments(self):
-        report = build_report(solve_minimax(4))
-        comments, _, _ = lp_sections(to_lp_constraints(report))
-        nodes = [c for c in comments if c.startswith("\\ node_")]
-        assert len(nodes) == 4
+    def test_upper_bound_is_the_lifted_lower_bound(self):
+        report = build_report(solve_minimax(4), NormalParams(20.0, 5.0))
+        comments, _, _ = lp_sections(to_lp_constraints(report, "q", "cost"))
+        upper = [c for c in comments if c.startswith("\\ upper bound: ")]
+        assert upper == [f"\\ upper bound: cost + {export_io._lp_num(report.max_error)}, the"
+                         " lower rows lifted by max_error; both are tight where the model"
+                         " minimises cost"]
+        assert report.upper.slopes == report.lower.slopes
+        lifted = [c + report.max_error for c in report.lower.intercepts]
+        assert report.upper.intercepts == approx(lifted, rel=0, abs=1e-14)
 
     def test_custom_variable_names(self):
         text = to_lp_constraints(build_report(solve_minimax(2)), "q", "cost")
@@ -492,6 +497,59 @@ class TestLpConstraints:
         _, constraints, rest = lp_sections(text)
         assert sum(f" {name} >= " in row for row in constraints) == 4
         assert f" {name} free" in rest
+
+
+# a lower row as to_lp_constraints writes it: the slope's sign is flipped onto
+# the left-hand side, a slope of 0 writes no term and one of magnitude 1 no coefficient
+_LOWER_ROW = re.compile(r" lower_(\d+): L(?: ([+-]) (?:(\S+) )?x)? >= (\S+)")
+
+
+def lower_rows(text: str):
+    """(slopes, intercepts) read back from the lower_i rows of LP text."""
+    rows = [_LOWER_ROW.fullmatch(line) for line in text.splitlines()
+            if line.startswith(" lower_")]
+    assert [int(m[1]) for m in rows] == list(range(len(rows)))
+    slopes = tuple(0.0 if m[2] is None else float(m[3] or 1) * (1.0 if m[2] == "-" else -1.0)
+                   for m in rows)
+    return slopes, tuple(float(m[4]) for m in rows)
+
+
+class TestNewsvendorLp:
+    """The exported rows, parsed and solved as a newsvendor LP.
+
+    At mean mu and deviation sigma with holding cost h and shortage cost p,
+    the expected cost of order x is (h+p) closs(x) - p x + p mu, or
+    (h+p) loss(x) + h x - h mu; its minimum, at Phi((x - mu)/sigma) =
+    p/(h+p), is (h+p) sigma phi(inv_cdf(p/(h+p))).  Minimising over the
+    lower rows gives at most that, and the upper bound, the rows lifted by
+    max_error, at most (h+p) max_error more.
+    """
+
+    MU, SIGMA, H, P = 100.0, 20.0, 1.0, 4.0
+    EXACT = 27.99619  # (h+p) sigma phi(0.8416212...)
+    TOL = 1e-6  # the solver's absolute tolerance on the optimum, stated here
+
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    @pytest.mark.parametrize("n", [2, 10, 100, 1000])
+    def test_lp_optimum_brackets_the_exact_cost(self, n, target):
+        from scipy.optimize import linprog
+
+        h, p, mu = self.H, self.P, self.MU
+        report = BoundReport(solve_minimax(n), NormalParams(mu, self.SIGMA), target)
+        slopes, intercepts = lower_rows(to_lp_constraints(report))
+        assert (slopes, intercepts) == (report.lower.slopes, report.lower.intercepts)
+
+        # variables (x, L); each row L - s x >= c is s x - L <= -c
+        cost, const = ((-p, h + p), p * mu) if target == "closs" else ((h, h + p), -h * mu)
+        res = linprog(cost, A_ub=[(s, -1.0) for s in slopes], b_ub=[-c for c in intercepts],
+                      bounds=[(None, None)] * 2, method="highs")
+        assert res.status == 0, res.message
+        lp = res.fun + const
+        exact = (h + p) * self.SIGMA * phi(inv_cdf(p / (h + p)))
+        assert exact == approx(self.EXACT, abs=5e-6)
+        assert lp - self.TOL <= exact <= lp + (h + p) * report.max_error + self.TOL
+        # L is tight at the optimum: it equals the lower bound there
+        assert res.x[1] == approx(report.lower(float(res.x[0])), abs=self.TOL)
 
 
 def _numpy_lp_num(x: float) -> str:

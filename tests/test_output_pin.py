@@ -1,14 +1,18 @@
-"""One SHA-256 over the stdout of a fixed set of CLI calls.
+"""One SHA-256 over the stdout of a fixed set of CLI calls, and a digest per call.
 
 The set covers every bounds export format at small, medium and large
 segment counts, both targets and scales from the standard one to
 |mu|/sigma = 1e8.  A change that moves output bytes on purpose updates
-PINNED_SHA256 and says so in CHANGES.md; any other change keeps it.
+PINNED_SHA256 and the per-call digests in DIGESTS, and says so in CHANGES.md;
+any other change keeps them.  `python tests/test_output_pin.py` prints the
+SHA-256 and rewrites DIGESTS; a failing digest test names the calls that moved.
 """
 
 import hashlib
 import io
 from contextlib import redirect_stdout
+from functools import cache
+from pathlib import Path
 
 from losslin.cli import main
 
@@ -18,7 +22,10 @@ SCALES = (("0", "1"), ("-12.3", "0.37"), ("20", "5"), ("1e6", "1e-2"), ("-0.0", 
 FORMATS = (("--format", "json"), ("--format", "lp"), ("--format", "csv"),
            ("--format", "plot", "--n-points", "201"))
 
-PINNED_SHA256 = "568329d7ae8240e5d033f3e3d749277011c983f62f5037d6760c648ae4031fc7"
+PINNED_SHA256 = "355d4fac1d8ee3dbeb7743ec58c03959a63f1656ed0297f46958d898afafd83a"
+
+# the first 16 hex digits of each call's SHA-256, one a line, in pinned_argv() order
+DIGESTS = Path(__file__).with_name("output_pin_digests.txt")
 
 
 def pinned_argv():
@@ -30,16 +37,34 @@ def pinned_argv():
                            "--mu", mu, "--sigma", sigma, *fmt)
 
 
-def output_sha256() -> str:
-    digest = hashlib.sha256()
+@cache
+def output_digests() -> tuple[str, tuple[str, ...]]:
+    """The SHA-256 over every call's stdout, and each call's digest."""
+    digest, each = hashlib.sha256(), []
     for argv in pinned_argv():
         out = io.StringIO()
         with redirect_stdout(out):
             status = main(list(argv))
         assert status == 0, argv
-        digest.update(out.getvalue().encode("utf-8"))
-    return digest.hexdigest()
+        data = out.getvalue().encode("utf-8")
+        digest.update(data)
+        each.append(hashlib.sha256(data).hexdigest()[:16])
+    return digest.hexdigest(), tuple(each)
 
 
 def test_cli_output_bytes_are_pinned():
-    assert output_sha256() == PINNED_SHA256
+    assert output_digests()[0] == PINNED_SHA256
+
+
+def test_each_call_keeps_its_digest():
+    pinned = DIGESTS.read_text().split()
+    got = output_digests()[1]
+    assert len(pinned) == len(got)
+    moved = [" ".join(argv) for argv, a, b in zip(pinned_argv(), got, pinned) if a != b]
+    assert not moved, f"{len(moved)} of {len(got)} outputs moved:\n" + "\n".join(moved)
+
+
+if __name__ == "__main__":
+    total, each = output_digests()
+    DIGESTS.write_text("".join(d + "\n" for d in each))
+    print(total)

@@ -205,6 +205,15 @@ class TestSolvedPartitions:
                 e.append(mpmath.npdf(m) + m * mpmath.ncdf(m) - (big[i + 1] * m + small[i + 1]))
             assert (max(e) - min(e)) / max(e) <= bound
 
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 3 * 10**4])
+    def test_error_follows_the_minimax_law(self, n):
+        # equal errors eps space the boundaries like N(0, 2), so eps N^2 tends
+        # to sqrt(pi/8) with a correction of about 0.44/N; the correction reads
+        # 0.38 to 0.45 up to the cap and breaks past 10**5, where the float
+        # breakpoint errors stop resolving the spread (0.069 at 10**5)
+        eps = solve_minimax(n).max_error
+        assert 0.35 <= (math.sqrt(math.pi / 8.0) - eps * n * n) * n <= 0.47
+
 
 class TestNewtonSystem:
     """The exact symmetry-reduced Newton system behind solve_minimax."""

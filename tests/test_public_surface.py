@@ -200,9 +200,9 @@ def test_ragged_input_is_rejected_without_a_warning_on_old_numpy(monkeypatch):
 
 @pytest.mark.parametrize("call, message", [
     (lambda n: solve_minimax(n), "^n_regions must be a positive integer, got 1000001"
-                                 r" \(the limit is 1000000\)$"),
+                                 r" \(the limit is 30000\)$"),
     (lambda n: parameter_table(n + 1), r"^max_segments must be an integer >= 2"
-                                       r" \(the limit is 1000001\)$"),
+                                       r" \(the limit is 30001\)$"),
     (lambda n: plot_data(_REPORT, n), r"^n_points must be an integer >= 2"
                                       r" \(the limit is 1000000\)$"),
 ], ids=["solve_minimax", "parameter_table", "plot_data"])
