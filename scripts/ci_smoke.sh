@@ -1,7 +1,9 @@
 #!/bin/sh
 # Smoke test of an installed losslin: the console script, the LP upper-bound
-# header, a JSON round trip, the solver's debug record, Partition
-# re-certification, equal reports from a solved and a re-built partition, the
+# header, a JSON round trip whose upper block is the lower rows plus
+# max_error, equal exports from a partition exported before and from a fresh
+# equal one, the solver's debug record, Partition re-certification, equal
+# reports from a solved and a re-built partition, the
 # refusal of N = 100000 regions, the hostile arguments that must raise
 # LossLinError without a warning and the quadrature oracle near the mean, far
 # right and out of depth.  Run it from the repository root after
@@ -11,7 +13,8 @@ set -e
 losslin table --max 3 && losslin eval --x 0 --target loss
 losslin bounds --segments 5 --format lp | python -c "import sys; t = sys.stdin.read(); assert 'upper bound: L + ' in t and 'node_' not in t and t.endswith('End\n')"
 losslin bounds --segments 5 --mu 20 --sigma 5 --target loss --format json --out b.json
-python -c "import losslin; t = open('b.json').read(); assert losslin.from_json(t).to_text() == t"
+python -c "import losslin; t = open('b.json').read(); b = losslin.from_json(t); assert b.to_text() == t and b.upper == {'kind': 'upper', 'intercept_shift': b.metadata['max_error']}"
+python -W error -c "from losslin import *; p = solve_minimax(30); f = lambda q, s, t: (to_json(BoundReport(q, s, t)), to_lp_constraints(BoundReport(q, s, t), 'q', 'cost')); assert all(f(p, s, t) == f(p, s, t) == f(Partition(p.upper_limits), s, t) for s in (NormalParams(20.0, 5.0), NormalParams(-1e6, 1e-2)) for t in ('closs', 'loss'))"
 python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); losslin.solve_minimax(1000)" 2>&1 | grep -q "passes=4 "
 python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); losslin.solve_minimax(4038)" 2>&1 | grep -q "passes=4 "
 python -c "from losslin import *; ps = [solve_minimax(n) for n in (999, 4038)]; assert all(Partition(p.upper_limits) == p and breakpoint_errors(Partition(p.upper_limits)) == breakpoint_errors(p) for p in ps)"

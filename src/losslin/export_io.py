@@ -1,9 +1,12 @@
 """Serialization of partitions and bounds for MILP embedding and plotting.
 
-All decimal output uses 17 significant digits, which round-trips IEEE
-doubles exactly, and key order is fixed, so identical inputs always
-produce byte-identical text.  Unbounded segment edges are encoded as
-``null`` rather than infinity sentinels.
+JSON, CSV and plot reals use 17 significant digits and LP numbers the
+shortest positional form; both round-trip IEEE doubles exactly.  Key order
+is fixed, so identical inputs always produce byte-identical text.
+Unbounded segment edges are encoded as ``null`` rather than infinity
+sentinels.  The text a partition and target fix, whatever the scale, is
+rendered on a partition's first export and kept while the partition lives
+(_scale_free).
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import weakref
 from dataclasses import dataclass
-from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -93,14 +96,17 @@ class ExportBundle:
             raise InvalidParameterError("bundle is nested too deeply to render") from None
 
 
-# The bundle schema; every %s is a value already spelled as JSON.
-_METADATA = ('{"tool": %s, "version": %s, "segment_count": %d, "target": %s,'
-             ' "kind": "lower_upper_pair", "mu": %s, "sigma": %s, "max_error": %s}')
-_BLOCK = '{"kind": "%s", "segments": [%s], "breakpoints": [%s], "error_locations": [%s]}'
-# the intercept is left as a _REAL format, which each block fills
+# The bundle schema, filled in two steps.  _json_template fills the %s and %d
+# fields with what the partition and target fix; the escaped fields it leaves,
+# %s and %.17g once unescaped, take what the scale adds in to_json.  Neither
+# the quoted names nor the partition block holds a %.
+_DOCUMENT = ('{"metadata": {"tool": %s, "version": %s, "segment_count": %d, "target": %s,'
+             ' "kind": "lower_upper_pair", "mu": %%s, "sigma": %%s, "max_error": %%s},'
+             ' "lower": {"kind": "lower", "segments": [%s], "breakpoints": [%%s],'
+             ' "error_locations": [%%s]}, "upper": {"kind": "upper", "intercept_shift": %%s},'
+             ' "partition": %s}\n')
 _ROW = '{"slope": %s, "intercept": %%.17g, "domain_low": %s, "domain_high": %s}'
 _PARTITION = '{"upper_limits": [%s], "masses": [%s], "cond_means": [%s], "max_error_std": %s}'
-_DOCUMENT = '{"metadata": %s, "lower": %s, "upper": %s, "partition": %s}\n'
 _NULL = ("null",)
 
 
@@ -109,29 +115,61 @@ def _reals(values, head=(), tail=()) -> str:
     return ", ".join([*head, *[_REAL] * len(values), *tail]) % tuple(values)
 
 
+# Per live partition: a reference to it, and the scale-free text of each
+# (renderer, target) pair (_scale_free).  Equal partitions may differ in the
+# sign of a zero, so an entry serves only the partition it was rendered from,
+# and holds no strong reference to it.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _scale_free(report: BoundReport, render):
+    """render(report), which must depend only on report's partition and target,
+    rendered on first use and kept while the partition lives."""
+    part = report.partition
+    entry = _MEMO.get(part)
+    if entry is None or entry[0]() is not part:
+        entry = _MEMO[part] = (weakref.ref(part), {})
+    key = (render, report.target)
+    text = entry[1].get(key)
+    if text is None:
+        text = entry[1][key] = render(report)
+    return text
+
+
+def _json_template(report: BoundReport) -> str:
+    """The JSON document of report with the scale's values left as fields: mu,
+    sigma and max_error, then each segment's intercept and domain edges but the
+    outer nulls, then the breakpoints twice and max_error again (see to_json)."""
+    part, slopes = report.partition, report.lower.slopes
+    edges = ["%s"] * (len(slopes) - 1)
+    rows = ", ".join(map(_ROW.__mod__, zip(map(_fmt, slopes), ["null", *edges],
+                                           [*edges, "null"])))
+    block = _PARTITION % (_reals(part.upper_limits[:-1], tail=_NULL), _reals(part.masses),
+                          _reals(part.cond_means), _fmt(part.max_error))
+    return _DOCUMENT % (_quote(TOOL_NAME), _quote(__version__), len(slopes),
+                        _quote(report.target), rows, block)
+
+
 def to_json(report: BoundReport) -> str:
     """Serialize a bound report to the JSON coefficient bundle.
 
-    The upper bound is the lower chain lifted, so both blocks share the
-    lower bound's breakpoints and slopes: they are formatted once into the
-    segment rows, and each block fills in its own intercepts.  Segment i
-    spans breakpoints i-1 to i, null past either end.
+    The lower block holds one row per segment; segment i spans breakpoints
+    i-1 to i, null past either end.  The upper bound is the lower rows lifted
+    by max_error, so its block is {"kind": "upper", "intercept_shift":
+    max_error}; its error peaks at sigma b + mu for the partition block's
+    upper_limits b.  Only the scale's numbers are formatted per call.
     """
     _instance(report, BoundReport, "report")
-    part, lower, scale = report.partition, report.lower, report.scale
-    bp = list(map(_fmt, lower.breakpoints))
-    slopes = map(_fmt, lower.slopes)
-    rows = ", ".join(map(_ROW.__mod__, zip(slopes, ["null", *bp], [*bp, "null"])))
-    breakpoints = ", ".join(bp)
-    return _DOCUMENT % (
-        _METADATA % (_quote(TOOL_NAME), _quote(__version__), lower.n_segments,
-                     _quote(report.target), _fmt(scale.mu),
-                     _fmt(scale.sigma), _fmt(report.max_error)),
-        _BLOCK % ("lower", rows % lower.intercepts, breakpoints, breakpoints),
-        _BLOCK % ("upper", rows % report.upper.intercepts, breakpoints,
-                  _reals(report.upper_error_locations[1:-1], _NULL, _NULL)),
-        _PARTITION % (_reals(part.upper_limits[:-1], tail=_NULL), _reals(part.masses),
-                      _reals(part.cond_means), _fmt(part.max_error)))
+    lower, scale = report.lower, report.scale
+    document = _scale_free(report, _json_template)
+    bp, c = list(map(_fmt, lower.breakpoints)), lower.intercepts
+    # each row's fields are its intercept, domain_low and domain_high, but for
+    # the outer edges, which the template holds as null
+    cells = [None] * (3 * len(c) - 2)
+    cells[:2], cells[2::3], cells[3::3], cells[4::3] = (c[0], bp[0]), c[1:], bp, bp[1:]
+    breakpoints, max_error = ", ".join(bp), _fmt(report.max_error)
+    return document % (_fmt(scale.mu), _fmt(scale.sigma), max_error, *cells,
+                       breakpoints, breakpoints, max_error)
 
 
 def _reject_constant(name: str):
@@ -192,18 +230,26 @@ def to_csv_table(partitions: list[Partition]) -> str:
 def _lp_num(x: float) -> str:
     # positional notation (LP parsers dislike exponents), shortest
     # representation that still round-trips the double
-    r = repr(float(x))
+    x = float(x)
+    r = repr(x)
     if "e" in r:
-        r = format(Decimal(r), "f")
+        return np.format_float_positional(x, unique=True, trim="-")
     return r[:-2] if r.endswith(".0") else r
 
 
-def _lp_term(coef: float, var: str) -> str:
+def _lp_term(coef: float) -> str:
+    """The term of a lower row's slope coef without its variable: none for 0, a
+    sign for magnitude 1, else a sign and a magnitude."""
+    if coef == 0.0:
+        return ""
     sign = "-" if coef > 0 else "+"
     mag = abs(coef)
-    if mag == 1.0:
-        return f" {sign} {var}"
-    return f" {sign} {_lp_num(mag)} {var}"
+    return f" {sign} " if mag == 1.0 else f" {sign} {_lp_num(mag)} "
+
+
+def _lp_terms(report: BoundReport) -> tuple[str, ...]:
+    """The term of each lower row's slope (_lp_term)."""
+    return tuple(map(_lp_term, report.lower.slopes))
 
 
 # LP-format identifier: at most 255 characters from letters, digits and
@@ -242,11 +288,9 @@ def to_lp_constraints(report: BoundReport, var_x: str = "x", var_L: str = "L") -
         f" max_error; both are tight where the model minimises {var_L}",
         "Subject To",
     ]
-    for i, (s, c) in enumerate(zip(lower.slopes, lower.intercepts)):
-        lhs = f" lower_{i}: {var_L}"
-        if s != 0.0:
-            lhs += _lp_term(s, var_x)
-        out.append(f"{lhs} >= {_lp_num(c)}")
+    terms = _scale_free(report, _lp_terms)
+    out += [f" lower_{i}: {var_L}{t}{var_x if t else ''} >= {_lp_num(c)}"
+            for i, (t, c) in enumerate(zip(terms, lower.intercepts))]
     out += ["Bounds", f" {var_x} free", f" {var_L} free", "End"]
     return "\n".join(out) + "\n"
 

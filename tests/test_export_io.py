@@ -1,6 +1,10 @@
+import gc
 import json
 import math
 import re
+import weakref
+from bisect import bisect_right
+from decimal import Decimal
 from functools import cache
 
 import mpmath
@@ -90,10 +94,11 @@ class TestJson:
 
     def test_segment_domains_tile_the_line(self):
         doc = json.loads(to_json(build_report(solve_minimax(5))))
-        for block in (doc["lower"], doc["upper"]):
-            segs = block["segments"]
-            for left, right in zip(segs, segs[1:]):
-                assert left["domain_high"] == right["domain_low"]
+        segs = doc["lower"]["segments"]
+        for left, right in zip(segs, segs[1:]):
+            assert left["domain_high"] == right["domain_low"]
+        assert doc["upper"] == {"kind": "upper",
+                                "intercept_shift": doc["metadata"]["max_error"]}
 
     def test_round_trip_is_byte_identical(self):
         for n in (1, 4, 7):
@@ -192,6 +197,17 @@ _LITERAL_JSON = (
     '"domain_high": null}], "breakpoints": [-12.595217287497061, '
     '-12.004782712502941], "error_locations": [-12.595217287497061, '
     '-12.004782712502941]}, "upper": {"kind": "upper", '
+    '"intercept_shift": 0.044642738378453554}, '
+    '"partition": {"upper_limits": [0, null], "masses": [0.5, 0.5], '
+    '"cond_means": [-0.79788456080286541, 0.79788456080286541], '
+    '"max_error_std": 0.1206560496714961}}\n'
+)
+# The same report in the layout to_json wrote before the upper block became
+# the lower rows plus intercept_shift: its own rows, breakpoints and error
+# locations.  from_json still reads it, byte for byte.
+_OLD_LAYOUT_JSON = (
+    _LITERAL_JSON[:_LITERAL_JSON.index('"upper": ')]
+    + '"upper": {"kind": "upper", '
     '"segments": [{"slope": -1, "intercept": -12.255357261621548, '
     '"domain_low": null, "domain_high": -12.595217287497061}, '
     '{"slope": -0.5, "intercept": -5.9577486178730164, '
@@ -200,9 +216,7 @@ _LITERAL_JSON = (
     '"domain_low": -12.004782712502941, "domain_high": null}], '
     '"breakpoints": [-12.595217287497061, -12.004782712502941], '
     '"error_locations": [null, -12.300000000000001, null]}, '
-    '"partition": {"upper_limits": [0, null], "masses": [0.5, 0.5], '
-    '"cond_means": [-0.79788456080286541, 0.79788456080286541], '
-    '"max_error_std": 0.1206560496714961}}\n'
+    + _LITERAL_JSON[_LITERAL_JSON.index('"partition": '):]
 )
 _LITERAL_LP = (
     '\\ losslin @V@: piecewise linear bounds for target loss, normal(mu=-12.3, sigma=0.37)\n'
@@ -243,6 +257,14 @@ def test_literal_report_exports_are_pinned():
     assert to_lp_constraints(report) == _LITERAL_LP.replace("@V@", losslin.__version__)
 
 
+def test_old_layout_bundles_still_round_trip():
+    text = _OLD_LAYOUT_JSON.replace("@V@", losslin.__version__)
+    bundle = from_json(text)
+    assert [s["intercept"] for s in bundle.upper["segments"]] == list(
+        _literal_report().upper.intercepts)
+    assert bundle.to_text() == text
+
+
 def test_n2_max_error_pin_is_nearer_the_truth():
     with mpmath.workdps(40):
         m = mpmath.sqrt(2 / mpmath.pi)
@@ -271,10 +293,10 @@ def _reference_render(obj) -> str:
 
 
 def _reference_doc(report: BoundReport) -> dict:
-    """The bundle schema filled from the report's public fields, each block
-    from its own bound."""
+    """The bundle schema filled from the report's public fields: the lower
+    block from the lower bound, the upper block from max_error."""
 
-    def block(pl: PiecewiseLinear, error_locations) -> dict:
+    def block(pl: PiecewiseLinear) -> dict:
         bp = pl.breakpoints
         segments = [{"slope": float(s), "intercept": float(c),
                      "domain_low": None if i == 0 else float(bp[i - 1]),
@@ -282,8 +304,7 @@ def _reference_doc(report: BoundReport) -> dict:
                     for i, (s, c) in enumerate(zip(pl.slopes, pl.intercepts))]
         return {"kind": pl.kind, "segments": segments,
                 "breakpoints": [float(b) for b in bp],
-                "error_locations": [None if math.isinf(x) else float(x)
-                                    for x in error_locations]}
+                "error_locations": [float(b) for b in bp]}
 
     part, scale = report.partition, report.scale
     return {
@@ -291,8 +312,8 @@ def _reference_doc(report: BoundReport) -> dict:
                      "segment_count": report.lower.n_segments, "target": report.target,
                      "kind": "lower_upper_pair", "mu": float(scale.mu),
                      "sigma": float(scale.sigma), "max_error": float(report.max_error)},
-        "lower": block(report.lower, report.lower.breakpoints),
-        "upper": block(report.upper, report.upper_error_locations),
+        "lower": block(report.lower),
+        "upper": {"kind": "upper", "intercept_shift": float(report.max_error)},
         "partition": {"upper_limits": [None if math.isinf(b) else float(b)
                                        for b in part.upper_limits],
                       "masses": [float(p) for p in part.masses],
@@ -336,6 +357,79 @@ def test_json_is_the_reference_rendering_byte_for_byte(segments, target, mu, sig
     text = to_json(report)
     assert text == _reference_render(_reference_doc(report)) + "\n"
     assert from_json(text).to_text() == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((1, 2, 10, 30)),
+    mu=st.floats(min_value=-10.0, max_value=10.0),
+    sigma=st.floats(min_value=0.1, max_value=10.0),
+    target=st.sampled_from(("closs", "loss")),
+)
+def test_json_upper_block_bounds_the_exact_function_from_above(n, mu, sigma, target):
+    # the scales of test_bounds.test_sandwich_property; the bundle alone is read
+    scale = NormalParams(mu, sigma)
+    doc = json.loads(to_json(build_report(_solved(n + 1), scale, target)))
+    rows, bp = doc["lower"]["segments"], doc["lower"]["breakpoints"]
+    shift = doc["upper"]["intercept_shift"]
+    exact = losslin.closs if target == "closs" else losslin.loss
+
+    def gap(x):  # the lower row whose domain holds x, lifted, less the exact value
+        row = rows[bisect_right(bp, x)]
+        return row["slope"] * x + row["intercept"] + shift - exact(x, scale)
+
+    # the upper bound meets the function at the lower breakpoints, and its
+    # error peaks, at max_error, at sigma b + mu
+    assert [gap(x) for x in bp] == approx([0.0] * len(bp), abs=1e-9)
+    peaks = [sigma * b + mu for b in doc["partition"]["upper_limits"][:-1]]
+    assert [gap(x) for x in peaks] == approx([shift] * len(peaks), abs=1e-9)
+    assert min(map(gap, bp + peaks)) >= -1e-12 * (1.0 + abs(mu) + sigma)
+    assert shift == doc["metadata"]["max_error"] > 0.0
+
+
+def _exports(part: Partition, scale: NormalParams, target: str) -> tuple[str, str, str]:
+    report = BoundReport(part, scale, target)
+    return to_json(report), to_lp_constraints(report), to_lp_constraints(report, "q", "cost")
+
+
+class TestScaleFreeMemo:
+    """export_io._MEMO: what a partition and target fix is rendered once per partition."""
+
+    SCALES = (NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37), NormalParams(1e6, 1e-2),
+              NormalParams(-1e8, 1.0))
+
+    @pytest.mark.parametrize("segments", [2, 3, 12, 31])
+    def test_a_hit_writes_the_bytes_of_a_miss(self, segments):
+        part = solve_minimax(segments - 1)
+        for scale in self.SCALES:
+            for target in ("closs", "loss"):
+                export_io._MEMO.clear()
+                miss = _exports(part, scale, target)
+                kept = dict(export_io._MEMO[part][1])  # the JSON template and the LP terms
+                hit = _exports(part, scale, target)
+                assert len(kept) == 2
+                assert all(export_io._MEMO[part][1][key] is text for key, text in kept.items())
+                # an equal partition is another object, so it is rendered anew
+                assert miss == hit == _exports(Partition(part.upper_limits), scale, target)
+
+    def test_equal_partitions_keep_their_own_sign_of_zero(self):
+        neg, pos = Partition((-0.0, math.inf)), Partition((0.0, math.inf))
+        assert neg == pos
+        for _ in range(2):
+            assert '"upper_limits": [-0, null]' in to_json(BoundReport(neg))
+            assert '"upper_limits": [0, null]' in to_json(BoundReport(pos))
+
+    def test_an_entry_lives_only_as_long_as_its_partition(self):
+        export_io._MEMO.clear()
+        part = solve_minimax(4)
+        report = BoundReport(part, NormalParams(20.0, 5.0), "loss")
+        to_json(report), to_lp_constraints(report)
+        assert len(export_io._MEMO) == 1 and export_io._MEMO[part][0]() is part
+        alive = weakref.ref(part)
+        del part, report
+        gc.collect()
+        assert alive() is None
+        assert len(export_io._MEMO) == 0
 
 
 class TestRender:
@@ -552,22 +646,28 @@ class TestNewsvendorLp:
         assert res.x[1] == approx(report.lower(float(res.x[0])), abs=self.TOL)
 
 
-def _numpy_lp_num(x: float) -> str:
-    """The numpy formatter _lp_num replaced: shortest round-trip, positional."""
-    return np.format_float_positional(x, unique=True, trim="-")
+def _decimal_lp_num(x: float) -> str:
+    """Shortest round-trip positional form: repr, or Decimal's spelling of an
+    exponent repr; a trailing .0 is dropped."""
+    r = repr(x)
+    if "e" in r:
+        return format(Decimal(r), "f")
+    return r[:-2] if r.endswith(".0") else r
 
 
 class TestLpNumber:
     @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_matches_numpy_positional(self, x):
-        assert export_io._lp_num(x) == _numpy_lp_num(x)
+    @example(1e16)
+    @example(-2.5e-310)
+    def test_matches_the_decimal_oracle(self, x):
+        assert export_io._lp_num(x) == _decimal_lp_num(x)
 
     @pytest.mark.parametrize("x", [
         0.0, -0.0, 1.0, -3.0, 0.1, 1e-5, 1e15, 1e16, 1e22, 1.5e300,
         5e-324, -2.5e-310, 1.7976931348623157e308, 9007199254740993.0])
     def test_edge_values(self, x):
         text = export_io._lp_num(x)
-        assert text == _numpy_lp_num(x)
+        assert text == _decimal_lp_num(x)
         assert "e" not in text and float(text) == x
 
 
