@@ -3,10 +3,10 @@
 # header, a JSON round trip whose upper block is the lower rows plus
 # max_error, equal exports from a partition exported before and from a fresh
 # equal one, the solver's debug record, Partition re-certification, equal
-# reports from a solved and a re-built partition, the
-# refusal of N = 100000 regions, the hostile arguments that must raise
-# LossLinError without a warning and the quadrature oracle near the mean, far
-# right and out of depth.  Run it from the repository root after
+# reports from a solved and a re-built partition, the refusal of N = 100000
+# regions, the hostile arguments, a bool among numbers included, that must
+# raise LossLinError without a warning and the quadrature oracle near the mean,
+# far right and out of depth.  Run it from the repository root after
 # `pip install -e .`; it writes b.json there.
 # No pipefail: grep -q exits at its first match and closes the pipe early.
 set -e
@@ -19,7 +19,7 @@ python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); lo
 python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); losslin.solve_minimax(4038)" 2>&1 | grep -q "passes=4 "
 python -c "from losslin import *; ps = [solve_minimax(n) for n in (999, 4038)]; assert all(Partition(p.upper_limits) == p and breakpoint_errors(Partition(p.upper_limits)) == breakpoint_errors(p) for p in ps)"
 python -W error -c "import unittest; from losslin import *; p = solve_minimax(4038); s = NormalParams(20.0, 5.0); rs = [BoundReport(x, s, t) for t in ('closs', 'loss') for x in (p, Partition(p.upper_limits))]; assert all(a == b and a.upper.intercepts == b.upper.intercepts for a, b in zip(rs[::2], rs[1::2])); unittest.TestCase().assertRaises(LossLinError, solve_minimax, 100000)"
-python -W error -c "import unittest, numpy as np; from losslin import *; t = unittest.TestCase(); r = BoundReport(solve_minimax(3)); [t.assertRaises(LossLinError, f) for f in (lambda: Partition([[1.0], [1.0, 2.0]]), lambda: solve_minimax(10**400), lambda: to_json('x'), lambda: BoundReport(solve_minimax(3), STANDARD, np.array([1, 2])), lambda: solve_minimax(10**5000), lambda: BoundReport(solve_minimax(3), STANDARD, 10**5000), lambda: PiecewiseLinear((0.0,), (0.0, 1.0), (0.4, 0.4), 10**5000, 'closs', STANDARD), lambda: to_lp_constraints(r, 10**5000))]"
+python -W error -c "import math, unittest, numpy as np; from losslin import *; t = unittest.TestCase(); r = BoundReport(solve_minimax(3)); [t.assertRaises(LossLinError, f) for f in (lambda: Partition([[1.0], [1.0, 2.0]]), lambda: Partition((True, math.inf)), lambda: closs([True, 0.5], STANDARD), lambda: build_upper_chord([False, 1.0]), lambda: solve_minimax(10**400), lambda: to_json('x'), lambda: BoundReport(solve_minimax(3), STANDARD, np.array([1, 2])), lambda: solve_minimax(10**5000), lambda: BoundReport(solve_minimax(3), STANDARD, 10**5000), lambda: PiecewiseLinear((0.0,), (0.0, 1.0), (0.4, 0.4), 10**5000, 'closs', STANDARD), lambda: to_lp_constraints(r, 10**5000))]"
 python -c "import math; from losslin import *; d = GenericDistribution(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), 0.0); assert abs(closs_generic(0.5, d) - closs_std(0.5)) <= 1e-9 and abs(closs_generic(1e8, d) - 1e8) <= 1e-10
 try: adaptive_simpson(lambda t: float(t > 1.0 / 3.0), 0.0, 1.0, 1e-12)
 except QuadratureError as e: assert abs(e.estimate - 2.0 / 3.0) <= 1e-9

@@ -66,8 +66,8 @@ _RAGGED_WARNING = (np.VisibleDeprecationWarning
 def _real(x, error, message: str, ndim: int | None = None):
     """x as a float array, or a float if ndim == 0; error(message) unless x is int
     or float with ndim dimensions (any if None), checked before the cast, which
-    would parse strings, read bools and drop imaginary parts.  An iterator is read
-    into a tuple when ndim == 1.  message may name {dtype} and {type}."""
+    would parse strings, read bools, also among numbers, and drop imaginary parts.
+    An iterator is read into a tuple when ndim == 1.  message may name {dtype} and {type}."""
     if ndim == 1 and isinstance(x, Iterator):
         x = tuple(x)
     try:
@@ -79,6 +79,10 @@ def _real(x, error, message: str, ndim: int | None = None):
                 arr = np.asarray(x)
     except (TypeError, ValueError):  # a ragged sequence
         arr = np.array(None)
+    # report a bool in a list or tuple of numbers, which np.asarray reads as 0 or 1, as dtype bool
+    if arr.dtype.kind in "iuf" and isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+            map(type, x if arr.ndim == 1 else np.array(x, dtype=object).flat)):
+        arr = np.array(False)
     if arr.dtype.kind not in "iuf" or (ndim is not None and arr.ndim != ndim):
         raise error(message.format(dtype=arr.dtype, type=type(x).__name__))
     return float(arr) if ndim == 0 else arr.astype(float, copy=False)

@@ -5,8 +5,8 @@ shortest positional form; both round-trip IEEE doubles exactly.  Key order
 is fixed, so identical inputs always produce byte-identical text.
 Unbounded segment edges are encoded as ``null`` rather than infinity
 sentinels.  The text a partition and target fix, whatever the scale, is
-rendered on a partition's first export and kept while the partition lives
-(_scale_free).
+rendered on a partition's first export and kept by that partition, as its
+bound chain is (_scale_free).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -115,24 +114,13 @@ def _reals(values, head=(), tail=()) -> str:
     return ", ".join([*head, *[_REAL] * len(values), *tail]) % tuple(values)
 
 
-# Per live partition: a reference to it, and the scale-free text of each
-# (renderer, target) pair (_scale_free).  Equal partitions may differ in the
-# sign of a zero, so an entry serves only the partition it was rendered from,
-# and holds no strong reference to it.
-_MEMO = weakref.WeakKeyDictionary()
-
-
 def _scale_free(report: BoundReport, render):
     """render(report), which must depend only on report's partition and target,
-    rendered on first use and kept while the partition lives."""
-    part = report.partition
-    entry = _MEMO.get(part)
-    if entry is None or entry[0]() is not part:
-        entry = _MEMO[part] = (weakref.ref(part), {})
-    key = (render, report.target)
-    text = entry[1].get(key)
+    rendered on first use and kept in the partition's _texts."""
+    texts, key = report.partition._texts, (render, report.target)
+    text = texts.get(key)
     if text is None:
-        text = entry[1][key] = render(report)
+        text = texts[key] = render(report)
     return text
 
 

@@ -113,7 +113,9 @@ class Partition:
     calls with its last pass): masses and cond_means follow the formulas in
     the module docstring, max_error is the largest breakpoint error, and the
     breakpoint errors are kept for breakpoint_errors.  Instances can
-    therefore be trusted downstream.
+    therefore be trusted downstream.  What derives from the partition alone, its
+    bound chain (_chain) and scale-free export texts (_texts), it builds on
+    first use and holds outside its fields, where ==, hash and repr do not look.
     """
 
     upper_limits: tuple[float, ...]
@@ -164,6 +166,11 @@ class Partition:
         intercepts = (0.0, *small.tolist(), 0.0)
         return (max(self._errors) - min(self._errors), (0.0, *big.tolist(), 1.0), intercepts,
                 tuple(c + self.max_error for c in intercepts))
+
+    @cached_property
+    def _texts(self) -> dict:
+        """By (renderer, target), the export texts no scale changes (export_io._scale_free)."""
+        return {}
 
     @property
     def n_regions(self) -> int:

@@ -31,6 +31,8 @@ from losslin import (
     max_gap,
     phi,
     solve_minimax,
+    to_json,
+    to_lp_constraints,
 )
 from losslin import export_io
 
@@ -586,9 +588,11 @@ class TestStandardChainViews:
         fresh = Partition(solved(segments - 1).upper_limits)
         twin = Partition(fresh.upper_limits)
         before = hash(fresh), repr(fresh)
-        BoundReport(fresh, NormalParams(3.0, 2.0), "loss")
-        # reading twin._chain would build it, so look in the instance dicts
-        assert "_chain" in vars(fresh) and "_chain" not in vars(twin)
+        report = BoundReport(fresh, NormalParams(3.0, 2.0), "loss")
+        to_json(report), to_lp_constraints(report)
+        # reading twin._chain or twin._texts would build it, so look in the instance dicts
+        derived = {"_chain", "_texts"}
+        assert derived <= set(vars(fresh)) and not derived & set(vars(twin))
         assert (hash(fresh), repr(fresh)) == before
         assert fresh == twin and hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
 

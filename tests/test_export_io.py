@@ -4,6 +4,7 @@ import math
 import re
 import weakref
 from bisect import bisect_right
+from collections import Counter
 from decimal import Decimal
 from functools import cache
 
@@ -393,24 +394,45 @@ def _exports(part: Partition, scale: NormalParams, target: str) -> tuple[str, st
 
 
 class TestScaleFreeMemo:
-    """export_io._MEMO: what a partition and target fix is rendered once per partition."""
+    """Partition._texts: what a partition and target fix is rendered once per partition object."""
 
     SCALES = (NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37), NormalParams(1e6, 1e-2),
               NormalParams(-1e8, 1.0))
 
     @pytest.mark.parametrize("segments", [2, 3, 12, 31])
     def test_a_hit_writes_the_bytes_of_a_miss(self, segments):
-        part = solve_minimax(segments - 1)
+        solved = solve_minimax(segments - 1)
         for scale in self.SCALES:
             for target in ("closs", "loss"):
-                export_io._MEMO.clear()
+                part = Partition(solved.upper_limits)
+                assert "_texts" not in vars(part)
                 miss = _exports(part, scale, target)
-                kept = dict(export_io._MEMO[part][1])  # the JSON template and the LP terms
+                kept = dict(part._texts)  # the JSON template and the LP terms
                 hit = _exports(part, scale, target)
                 assert len(kept) == 2
-                assert all(export_io._MEMO[part][1][key] is text for key, text in kept.items())
+                assert all(part._texts[key] is text for key, text in kept.items())
                 # an equal partition is another object, so it is rendered anew
                 assert miss == hit == _exports(Partition(part.upper_limits), scale, target)
+
+    def test_equal_partitions_render_their_own_texts_once(self, monkeypatch):
+        renders = Counter()
+
+        def counted(render):
+            def wrapper(report):
+                renders[render.__name__, id(report.partition), report.target] += 1
+                return render(report)
+            return wrapper
+
+        for name in ("_json_template", "_lp_terms"):
+            monkeypatch.setattr(export_io, name, counted(getattr(export_io, name)))
+        part = solve_minimax(30)
+        twin = Partition(part.upper_limits)
+        for _ in range(10):
+            for p in (part, twin):
+                for target in ("closs", "loss"):
+                    report = BoundReport(p, NormalParams(3.0, 2.0), target)
+                    to_json(report), to_lp_constraints(report)
+        assert len(renders) == 8 and set(renders.values()) == {1}
 
     def test_equal_partitions_keep_their_own_sign_of_zero(self):
         neg, pos = Partition((-0.0, math.inf)), Partition((0.0, math.inf))
@@ -420,16 +442,29 @@ class TestScaleFreeMemo:
             assert '"upper_limits": [0, null]' in to_json(BoundReport(pos))
 
     def test_an_entry_lives_only_as_long_as_its_partition(self):
-        export_io._MEMO.clear()
         part = solve_minimax(4)
         report = BoundReport(part, NormalParams(20.0, 5.0), "loss")
         to_json(report), to_lp_constraints(report)
-        assert len(export_io._MEMO) == 1 and export_io._MEMO[part][0]() is part
+        assert set(part._texts) == {(export_io._json_template, "loss"),
+                                    (export_io._lp_terms, "loss")}
         alive = weakref.ref(part)
         del part, report
         gc.collect()
+        # no state outside the partition holds it
         assert alive() is None
-        assert len(export_io._MEMO) == 0
+
+    @pytest.mark.parametrize("regions", [1, 30, 10000])
+    def test_an_export_never_hashes_its_partition(self, regions, monkeypatch):
+        part = _solved(regions + 1)
+
+        def unhashable(self):
+            raise AssertionError("an export hashed its partition")
+
+        monkeypatch.setattr(Partition, "__hash__", unhashable)
+        for target in ("closs", "loss"):
+            report = BoundReport(part, NormalParams(-4.0, 3.0), target)
+            assert to_json(report) == to_json(report)
+            assert to_lp_constraints(report) == to_lp_constraints(report)
 
 
 class TestRender:

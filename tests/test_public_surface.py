@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import losslin
 from losslin import (
     BoundReport,
+    BreakpointErrors,
     DomainError,
     GenericDistribution,
     InvalidParameterError,
@@ -30,10 +31,12 @@ from losslin import (
     STANDARD,
     build_upper_chord,
     cdf,
+    closs,
     evaluate,
     from_json,
     max_gap,
     parameter_table,
+    phi,
     plot_data,
     solve_minimax,
     to_json,
@@ -196,6 +199,29 @@ def test_ragged_input_is_rejected_without_a_warning_on_old_numpy(monkeypatch):
         with pytest.raises(InvalidParameterError, match="^upper limits must be a flat"):
             Partition(RAGGED)
         assert cdf([0.0, 1.0]).tolist() == [0.5, cdf(1.0)]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Partition((True, math.inf)), InvalidParameterError, "upper limits must be a flat"),
+    (lambda: Partition.from_boundaries([-1, True]), InvalidParameterError,
+     "upper limits must be a flat"),
+    (lambda: closs([True, 0.5], STANDARD), DomainError, "got dtype bool$"),
+    (lambda: phi([True, 2]), DomainError, "got dtype bool$"),
+    (lambda: cdf([np.True_, 0.5]), DomainError, "got dtype bool$"),
+    (lambda: cdf([[0.5, 1.0], (2, np.False_)]), DomainError, "got dtype bool$"),
+    (lambda: build_upper_chord([False, 1.0]), InvalidParameterError,
+     "breakpoints must be a sequence of numbers"),
+    (lambda: BreakpointErrors((True, 0.5)), InvalidParameterError, "values must be a flat"),
+    (lambda: PiecewiseLinear((0.0,), (False, 1.0), (0.4, 0.4), "lower", "closs", STANDARD),
+     InvalidParameterError, "breakpoints, slopes and intercepts must be flat"),
+], ids=["Partition", "from_boundaries", "closs", "phi", "cdf", "cdf-nested",
+        "build_upper_chord", "BreakpointErrors", "PiecewiseLinear"])
+def test_a_bool_among_numbers_is_rejected(call, error, message):
+    # np.asarray reads a bool among numbers as 0 or 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
 
 
 @pytest.mark.parametrize("call, message", [
