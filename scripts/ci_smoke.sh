@@ -5,9 +5,11 @@
 # equal one, the solver's debug record, Partition re-certification, equal
 # reports from a solved and a re-built partition, the refusal of N = 100000
 # regions, the hostile arguments, a bool among numbers included, that must
-# raise LossLinError without a warning and the quadrature oracle near the mean,
-# far right and out of depth.  Run it from the repository root after
-# `pip install -e .`; it writes b.json there.
+# raise LossLinError without a warning, reports, JSON, LP and a lower bound
+# with the Phi/phi kernel disabled once their partitions exist, equal JSON and
+# CSV from Partition((-0.0, inf)) and Partition((0.0, inf)), and the quadrature
+# oracle near the mean, far right and out of depth.  Run it from the repository
+# root after `pip install -e .`; it writes b.json there.
 # No pipefail: grep -q exits at its first match and closes the pipe early.
 set -e
 losslin table --max 3 && losslin eval --x 0 --target loss
@@ -20,6 +22,8 @@ python -c "import logging, losslin; logging.basicConfig(level=logging.DEBUG); lo
 python -c "from losslin import *; ps = [solve_minimax(n) for n in (999, 4038)]; assert all(Partition(p.upper_limits) == p and breakpoint_errors(Partition(p.upper_limits)) == breakpoint_errors(p) for p in ps)"
 python -W error -c "import unittest; from losslin import *; p = solve_minimax(4038); s = NormalParams(20.0, 5.0); rs = [BoundReport(x, s, t) for t in ('closs', 'loss') for x in (p, Partition(p.upper_limits))]; assert all(a == b and a.upper.intercepts == b.upper.intercepts for a, b in zip(rs[::2], rs[1::2])); unittest.TestCase().assertRaises(LossLinError, solve_minimax, 100000)"
 python -W error -c "import math, unittest, numpy as np; from losslin import *; t = unittest.TestCase(); r = BoundReport(solve_minimax(3)); [t.assertRaises(LossLinError, f) for f in (lambda: Partition([[1.0], [1.0, 2.0]]), lambda: Partition((True, math.inf)), lambda: closs([True, 0.5], STANDARD), lambda: build_upper_chord([False, 1.0]), lambda: solve_minimax(10**400), lambda: to_json('x'), lambda: BoundReport(solve_minimax(3), STANDARD, np.array([1, 2])), lambda: solve_minimax(10**5000), lambda: BoundReport(solve_minimax(3), STANDARD, 10**5000), lambda: PiecewiseLinear((0.0,), (0.0, 1.0), (0.4, 0.4), 10**5000, 'closs', STANDARD), lambda: to_lp_constraints(r, 10**5000))]"
+python -W error -c "import math, losslin; from losslin import *; ps = [solve_minimax(n) for n in (1, 30, 1000)]; q = Partition((-37.0, -1.0, 0.0, 2.0, 5.0, math.inf)); losslin.gaussian._cdf_phi = None; rs = [BoundReport(p, NormalParams(3.0, 2.0), t) for p in ps for t in ('closs', 'loss')]; [(to_json(r), to_lp_constraints(r)) for r in rs]; [build_lower(q, STANDARD, t) for t in ('closs', 'loss')]"
+python -c "import math; from losslin import *; a, b = Partition((-0.0, math.inf)), Partition((0.0, math.inf)); assert to_json(BoundReport(a)) == to_json(BoundReport(b)) and to_csv_table([a]) == to_csv_table([b])"
 python -c "import math; from losslin import *; d = GenericDistribution(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), 0.0); assert abs(closs_generic(0.5, d) - closs_std(0.5)) <= 1e-9 and abs(closs_generic(1e8, d) - 1e8) <= 1e-10
 try: adaptive_simpson(lambda t: float(t > 1.0 / 3.0), 0.0, 1.0, 1e-12)
 except QuadratureError as e: assert abs(e.estimate - 2.0 / 3.0) <= 1e-9

@@ -6,7 +6,8 @@ breakpoints sigma t + mu, slopes s or, for the "loss" target, s - 1 (the shear
 loss(x) = closs(x) - (x - mu)), and intercepts sigma c - s' mu with the mapped
 slope s'; a view checks only the scale, the target and finiteness.  The lower
 bound collects the tangents of the complementary loss at the partition
-boundaries, the chain the partition builds once (Partition._chain), which its
+boundaries, the chain the partition builds once (Partition._chain) from the Phi
+and phi at its limits that its certifying pass computed, and which that
 certification proves; the upper bound is that chain lifted by its maximum error
 or a chord construction over caller-chosen breakpoints, validated here.
 """

@@ -74,8 +74,9 @@ _MAX_REGIONS = 3 * 10**4
 
 def _region_stats(upper: np.ndarray):
     """masses, conditional means and breakpoint errors for upper limits b_1..b_k,
-    followed by Phi(m_i) - Phi(b_i) and phi(b_i), which the solver's Jacobian
-    reuses; None if some region has no positive mass or finite conditional mean.
+    followed by Phi(m_i) - Phi(b_i) and Phi and phi at b_0 = -inf, b_1..b_k, which
+    the solver's Jacobian and a partition's tangent chain reuse; None if some
+    region has no positive mass or finite conditional mean.
 
     The limits are finite except a last one of +inf, which closes the
     partition (Partition and _symmetric_stats check this first).  A finite
@@ -100,33 +101,36 @@ def _region_stats(upper: np.ndarray):
     big_m, small_m = gaussian._cdf_phi(m, np.empty_like(m), np.empty_like(m))
     d_phi = big_m - big_phi_hi
     e = (small_m - small_phi_hi) + m * d_phi
-    return p, m, e, d_phi, small_phi_hi
+    return p, m, e, d_phi, big_phi, small_phi
 
 
 @dataclass(frozen=True)
 class Partition:
     """N adjacent regions of the standard normal support, given by their boundaries.
 
-    upper_limits are b_1 < ... < b_N with b_N = +inf, and they are the only
-    constructor argument.  Construction parses them by losslin.errors' rule and
-    certifies one pass of region statistics (_certify, which solve_minimax
-    calls with its last pass): masses and cond_means follow the formulas in
-    the module docstring, max_error is the largest breakpoint error, and the
-    breakpoint errors are kept for breakpoint_errors.  Instances can
-    therefore be trusted downstream.  What derives from the partition alone, its
-    bound chain (_chain) and scale-free export texts (_texts), it builds on
-    first use and holds outside its fields, where ==, hash and repr do not look.
+    upper_limits are b_1 < ... < b_N with b_N = +inf (a -0.0 is read as 0.0),
+    the only constructor argument.  Construction parses them by losslin.errors'
+    rule and certifies one pass of region statistics (_certify, which
+    solve_minimax calls with its last pass): masses and cond_means follow the
+    module docstring, max_error is the largest breakpoint error, and the pass's
+    errors (_errors) and Phi and phi at -inf, b_1..b_N (_big_phi, _small_phi)
+    are kept read-only.  Instances can therefore be trusted downstream.  What
+    derives from the partition alone, its bound chain (_chain) and scale-free
+    export texts (_texts), it builds on first use and holds outside its fields,
+    where ==, hash and repr do not look.
     """
 
     upper_limits: tuple[float, ...]
     masses: tuple[float, ...] = field(init=False)
     cond_means: tuple[float, ...] = field(init=False)
     max_error: float = field(init=False)
-    _errors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _errors: np.ndarray = field(init=False, repr=False, compare=False)
+    _big_phi: np.ndarray = field(init=False, repr=False, compare=False)
+    _small_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = _real(self.upper_limits, InvalidParameterError,
-                  "upper limits must be a flat sequence of numbers", 1)
+                  "upper limits must be a flat sequence of numbers", 1) + 0.0
         if b.size < 1:
             raise InvalidParameterError("a partition needs at least one region")
         if not math.isinf(b[-1]) or b[-1] < 0:
@@ -136,10 +140,10 @@ class Partition:
         self._certify(b, _region_stats(b))
 
     def _certify(self, b: np.ndarray, stats) -> "Partition":
-        """Certify the _region_stats of parsed upper limits b, set every field; return self."""
+        """Certify the _region_stats of limits b, set every field, arrays read-only; return self."""
         if stats is None:
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
-        p, m, e, _, _ = stats
+        p, m, e, _, big_phi, small_phi = stats
         if abs(np.add.reduce(p) - 1.0) > 1e-12:
             raise InvalidParameterError("region masses must sum to one")
         if np.logical_or.reduce(m[1:] <= m[:-1]):
@@ -149,23 +153,22 @@ class Partition:
             raise InvalidParameterError("each conditional mean must lie inside its region")
         if abs(float(np.dot(p, m))) > 1e-10:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
+        e.flags.writeable = big_phi.flags.writeable = small_phi.flags.writeable = False
         vars(self).update(upper_limits=tuple(b.tolist()), masses=tuple(p.tolist()),
                           cond_means=tuple(m.tolist()), max_error=float(np.maximum.reduce(e)),
-                          _errors=tuple(e.tolist()))
+                          _errors=e, _big_phi=big_phi, _small_phi=small_phi)
         return self
 
     @cached_property
     def _chain(self) -> tuple:
         """(error spread, slopes, tangent intercepts, lifted intercepts) of the standard chain
-        over cond_means: (0, Phi(b_i)..., 1), (0, phi(b_i)..., 0), those plus max_error.  It
-        needs no check: positive masses make Phi(b_i) rise strictly from 0 to 1, the means are
-        certified finite and increasing, the tangents at b_(i-1) and b_i meet at m_i by the
-        definition of m_i, and the upper chain is the lower one lifted by max_error."""
-        interior = np.asarray(self.upper_limits[:-1])
-        big, small = gaussian._cdf_phi(interior, np.empty_like(interior), np.empty_like(interior))
-        intercepts = (0.0, *small.tolist(), 0.0)
-        return (max(self._errors) - min(self._errors), (0.0, *big.tolist(), 1.0), intercepts,
-                tuple(c + self.max_error for c in intercepts))
+        over cond_means: _big_phi (0, Phi(b_i)..., 1), _small_phi (0, phi(b_i)..., 0), those
+        plus max_error.  It needs no check: positive masses make Phi(b_i) rise strictly from
+        0 to 1, the means are certified finite and increasing, the tangents at b_(i-1) and b_i
+        meet at m_i by the definition of m_i, and the upper chain is the lower one lifted."""
+        intercepts = tuple(self._small_phi.tolist())
+        return (float(self._errors.max() - self._errors.min()), tuple(self._big_phi.tolist()),
+                intercepts, tuple(c + self.max_error for c in intercepts))
 
     @cached_property
     def _texts(self) -> dict:
@@ -195,7 +198,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class BreakpointErrors:
-    """Per-breakpoint approximation errors of a partition's lower bound (at least one)."""
+    """Per-breakpoint approximation errors of a partition's lower bound (at least one, finite)."""
 
     values: tuple[float, ...]
 
@@ -204,6 +207,8 @@ class BreakpointErrors:
                        "values must be a flat sequence of int or float numbers", 1)
         if values.size == 0:
             raise InvalidParameterError("need at least one breakpoint error")
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameterError("breakpoint errors must be finite")
         object.__setattr__(self, "values", tuple(values.tolist()))
 
     @property
@@ -232,13 +237,9 @@ def _symmetric_stats(neg: np.ndarray, n_regions: int, half: bool = False):
     is not finite or some region has no positive mass."""
     if not np.logical_and.reduce(np.isfinite(neg)):
         return None
-    if half:
-        # the middle region's upper limit: zero, or the mirror of the last unknown
-        upper = np.empty(neg.size + 1)
-        upper[:-1] = neg
-        upper[-1] = -neg[-1] if n_regions % 2 else 0.0
-    else:
-        upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
+    upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
+    if half:  # the middle region's upper limit is zero or the mirror of the last unknown
+        upper = upper[:neg.size + 1]
     stats = _region_stats(upper)
     return None if stats is None else (upper,) + stats
 
@@ -269,10 +270,10 @@ def _reduced_jacobian(stats, n_regions: int):
     mid = de/da - de/db) and is the fixed zero when N is even (mid = de/da).
     """
     h = (n_regions + 1) // 2
-    b, p, m, _, d_phi, phi_b = stats
-    d_upper = (d_phi[:h] / p[:h] + 1.0) * phi_b[:h] * (b[:h] - m[:h])
+    b, p, m, _, d_phi, _, small_phi = stats  # small_phi[i] = phi(b_i), b_0 = -inf
+    d_upper = (d_phi[:h] / p[:h] + 1.0) * small_phi[1:h + 1] * (b[:h] - m[:h])
     d_lower = np.zeros(h)
-    d_lower[1:] = d_phi[1:h] * phi_b[:h - 1] * (m[1:h] - b[:h - 1]) / p[1:h]
+    d_lower[1:] = d_phi[1:h] * small_phi[1:h] * (m[1:h] - b[:h - 1]) / p[1:h]
     mid = d_lower[-1] - d_upper[-1] if n_regions % 2 else d_lower[-1]
     return d_upper[:-1], d_lower[:-1], float(mid)
 
@@ -340,7 +341,7 @@ def solve_minimax(n_regions: int) -> Partition:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(_SOLVE_RECORD, n_regions, 0, 1, False,
-                       _full_residual_norm(np.asarray(part._errors)))
+                       _full_residual_norm(part._errors))
         return part
 
     rows = (n_regions + 1) // 2

@@ -35,6 +35,7 @@ from losslin import (
     to_lp_constraints,
 )
 from losslin import export_io
+from losslin import gaussian as gaussian_mod
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -596,18 +597,36 @@ class TestStandardChainViews:
         assert (hash(fresh), repr(fresh)) == before
         assert fresh == twin and hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
 
-    @pytest.mark.parametrize("source", [1, 2, 3, 40, 1000, 10001, (-2.0, 0.0, 2.0),
+    @pytest.mark.parametrize("source", [1, 2, 3, 40, 1000, 10001, 30000, (-2.0, 0.0, 2.0),
                                         (-37.0, -1.0, 0.0, 2.0, 5.0), (-1e-9, 1e-9)])
     def test_the_unchecked_chain_passes_the_validating_constructor(self, source):
         # views skip the constructor's checks; the partition's chain passes them,
-        # whether the partition is solved or has unequal errors
+        # whether the partition is solved or has unequal errors, and its slopes
+        # and tangents are the public cdf and phi of the limits, bit for bit
         p = solved(source) if isinstance(source, int) else Partition.from_boundaries(source)
         spread, slopes, tangents, raised = p._chain
         assert spread == breakpoint_errors(p).spread
+        want_slopes, want_tangents = tangent_chain(p)
+        assert np.asarray(slopes).tobytes() == want_slopes.tobytes()
+        assert np.asarray(tangents).tobytes() == want_tangents.tobytes()
         assert_same_bound(build_lower(p), PiecewiseLinear(
             p.cond_means, slopes, tangents, "lower", "closs", STANDARD))
         upper = PiecewiseLinear(p.cond_means, slopes, raised, "upper", "closs", STANDARD)
         assert upper.std_intercepts == tuple(c + p.max_error for c in tangents)
+
+    def test_a_report_evaluates_no_kernel_once_its_partition_exists(self, monkeypatch):
+        # the chain reads Phi and phi at the limits from the certifying pass
+        parts = [solve_minimax(n) for n in (1, 2, 30, 1000, 30000)]
+        built = Partition.from_boundaries((-37.0, -1.0, 0.0, 2.0, 5.0))
+
+        def no_kernel(*args):
+            raise AssertionError("a kernel was evaluated")
+        monkeypatch.setattr(gaussian_mod, "_cdf_phi", no_kernel)
+        for target in ("closs", "loss"):
+            for p in parts:
+                report = BoundReport(p, NormalParams(3.0, 2.0), target)
+                to_json(report), to_lp_constraints(report)
+            build_lower(built, NormalParams(3.0, 2.0), target)
 
     @pytest.mark.parametrize("target", ["closs", "loss"])
     def test_unequal_errors_are_rejected_on_every_report(self, target):

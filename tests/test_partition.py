@@ -76,7 +76,9 @@ class TestBreakpointErrors:
     @pytest.mark.parametrize("values, message", [
         ("x", "^values must be a flat sequence"), ((True,), "^values must be a flat sequence"),
         (((0.1,),), "^values must be a flat sequence"), ((), "^need at least one"),
-    ], ids=["str", "bool", "nested", "empty"])
+        ((math.nan,), "^breakpoint errors must be finite$"),
+        ((0.1, math.inf), "^breakpoint errors must be finite$"),
+    ], ids=["str", "bool", "nested", "empty", "nan", "inf"])
     def test_record_rejects_what_is_not_a_number_list(self, values, message):
         with pytest.raises(InvalidParameterError, match=message):
             BreakpointErrors(values)
@@ -420,15 +422,15 @@ class TestHalfPasses:
     SIZES = [*range(3, 401), *range(401, 10002, 293), 10001]
 
     def test_prefix_matches_the_full_pass(self):
-        # the first h limits give those regions' stats bit for bit as the
-        # full pass does
+        # the first h limits give those regions' stats, and Phi and phi at
+        # -inf, b_1..b_h, bit for bit as the full pass does
         for n in self.SIZES:
             upper = np.asarray(solve_minimax(n).upper_limits)
             h = (n + 1) // 2
             full = partition_mod._region_stats(upper)
             head = partition_mod._region_stats(upper[:h])
             for whole, first in zip(full, head):
-                assert np.array_equal(whole[:h], first), n
+                assert np.array_equal(whole[:first.size], first), n
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8, 101, 1000])
     def test_half_pass_gives_the_full_jacobian(self, n):
@@ -512,7 +514,7 @@ class TestOnePass:
 def _region_stats_reference(upper):
     """Region statistics composed from the public cdf and phi: Phi and phi on
     the limits, the lower limit -inf included, with Phi = 0, 1 and phi = 0 at
-    -inf and +inf, then on the conditional means."""
+    -inf and +inf, then on the conditional means; those on the limits are returned."""
     limits = np.concatenate(([-math.inf], upper))
     finite = np.isfinite(limits)
     big_phi, small_phi = np.where(limits > 0.0, 1.0, 0.0), np.zeros(limits.size)
@@ -523,7 +525,7 @@ def _region_stats_reference(upper):
     m = (small_phi[:-1] - small_phi[1:]) / p
     d_phi = cdf(m) - big_phi[1:]
     e = (phi(m) - small_phi[1:]) + m * d_phi
-    return p, m, e, d_phi, small_phi[1:]
+    return p, m, e, d_phi, big_phi, small_phi
 
 
 def _bits(values):
@@ -702,9 +704,9 @@ class TestPartitionValidation:
         region_stats = partition_mod._region_stats
 
         def perturbed(upper, **kwargs):
-            p, m, e, d_phi, phi_b = region_stats(upper, **kwargs)
+            p, m, *rest = region_stats(upper, **kwargs)
             changed = perturb(p, m)
-            return None if changed is None else (*changed, e, d_phi, phi_b)
+            return None if changed is None else (*changed, *rest)
         monkeypatch.setattr(partition_mod, "_region_stats", perturbed)
 
     @pytest.mark.parametrize("check", CERTIFICATE_CHECKS)
