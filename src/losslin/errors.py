@@ -43,7 +43,7 @@ class QuadratureError(LossLinError, RuntimeError):
 class SolverError(LossLinError, RuntimeError):
     """A nonlinear solve did not converge.
 
-    Carries the best iterate seen and its residual norm.
+    Carries the last usable point and its residual norm.
     """
 
     def __init__(self, message: str, best=None, residual: float = float("nan")):

@@ -35,10 +35,12 @@ is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
 density.  Newton starts from the N(0, 2) quantiles at an index shifted by
 0.15 (_start), inside its quadratic basin for every N, and takes full steps
-only: one or two for N <= 10000.  The step after the residual falls to 1e-10
+only: one or two for every N up to 3000 and every 37th N up to 30000, within
+a budget of 4 (_MAX_STEPS).  The step after the residual falls to 1e-10
 polishes the result to rounding level; its pass covers all N regions and
-certifies the result.  At N = 1000 a solve makes 4 passes: 3 over 500
-regions and the polish over 1000; every solve with N <= 10001 makes 3 or 4.
+certifies the result.  A solve therefore makes iterations + 2 passes, at
+N = 1000 four: 3 over 500 regions and the polish over 1000.  Any other
+outcome raises one SolverError.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ _log = logging.getLogger(__name__)
 
 _TOL = 1e-10
 
-_MAX_ITER = 200
+_MAX_STEPS = 4
 
 # the largest region count solve_minimax takes (parameter_table: one more segment)
 _MAX_REGIONS = 3 * 10**4
@@ -117,7 +119,8 @@ class Partition:
     are kept read-only.  Instances can therefore be trusted downstream.  What
     derives from the partition alone, its bound chain (_chain) and scale-free
     export texts (_texts), it builds on first use and holds outside its fields,
-    where ==, hash and repr do not look.
+    where ==, hash and repr do not look.  A copy or pickle is rebuilt from
+    upper_limits alone (__reduce__), so it is certified afresh and holds no cache.
     """
 
     upper_limits: tuple[float, ...]
@@ -158,6 +161,9 @@ class Partition:
                           cond_means=tuple(m.tolist()), max_error=float(np.maximum.reduce(e)),
                           _errors=e, _big_phi=big_phi, _small_phi=small_phi)
         return self
+
+    def __reduce__(self):
+        return (Partition, (self.upper_limits,))
 
     @cached_property
     def _chain(self) -> tuple:
@@ -225,21 +231,22 @@ def breakpoint_errors(partition: Partition) -> BreakpointErrors:
 # Equal-error solve
 # ---------------------------------------------------------------------------
 
-def _expand_symmetric(neg: np.ndarray, n_regions: int) -> np.ndarray:
-    """Full interior boundary vector from the strictly negative unknowns."""
-    middle = [0.0] if n_regions % 2 == 0 else []  # an odd interior count has a zero middle
-    return np.concatenate((neg, middle, -neg[::-1]))
+def _symmetric_limits(neg: np.ndarray, n_regions: int, half: bool = False) -> np.ndarray:
+    """Upper limits b_1..b_N (b_N = +inf) of the symmetric point with negative
+    interior boundaries neg, or b_1..b_h, h = ceil(N/2), when half; an odd
+    interior count (N even) has a zero middle boundary."""
+    if half:  # the middle region's upper limit is zero or the mirror of the last unknown
+        return np.append(neg, -neg[-1] if n_regions % 2 else 0.0)
+    middle = [0.0] if n_regions % 2 == 0 else []
+    return np.concatenate((neg, middle, -neg[::-1], [np.inf]))
 
 
 def _symmetric_stats(neg: np.ndarray, n_regions: int, half: bool = False):
-    """Upper limits b_1..b_N of the symmetric point, or b_1..b_h with
-    h = ceil(N/2) when half, then their _region_stats; None if some boundary
-    is not finite or some region has no positive mass."""
+    """_symmetric_limits, then their _region_stats; None if some boundary is
+    not finite or some region has no positive mass."""
     if not np.logical_and.reduce(np.isfinite(neg)):
         return None
-    upper = np.concatenate((_expand_symmetric(neg, n_regions), [np.inf]))
-    if half:  # the middle region's upper limit is zero or the mirror of the last unknown
-        upper = upper[:neg.size + 1]
+    upper = _symmetric_limits(neg, n_regions, half)
     stats = _region_stats(upper)
     return None if stats is None else (upper,) + stats
 
@@ -312,8 +319,7 @@ def _start(n_regions: int) -> np.ndarray:
     return math.sqrt(2.0) * gaussian.inv_cdf((k + 0.15) / (n_regions + 0.3))
 
 
-_SOLVE_RECORD = ("solve_minimax n_regions=%d iterations=%d passes=%d "
-                 "polish_kept=%s residual=%.3g")
+_SOLVE_RECORD = "solve_minimax n_regions=%d iterations=%d passes=%d residual=%.3g"
 
 
 def solve_minimax(n_regions: int) -> Partition:
@@ -321,18 +327,16 @@ def solve_minimax(n_regions: int) -> Partition:
     Newton iteration of the module docstring; N = 1 and N = 2 are returned
     analytically, and N is at most 30000 (_MAX_REGIONS): past 10**5 a solve is not minimax.
 
-    A full step is kept only if its point has finite boundaries, regions of
-    positive mass and a smaller reduced residual.  A rejected step before
-    convergence raises SolverError with the best point and its residual over
-    all breakpoints.  Once the mirrored residuals e_1 - e_k have norm <= 1e-10
-    (_TOL), one more step polishes the result.  Its point is kept on the
-    first two terms alone, since at rounding level the reduced residual no
-    longer ranks points, and its full pass certifies it as Partition
-    construction would; a polishing point that fails them leaves the
-    converged point, certified by one full pass.  Each call
-    logs one DEBUG record on the losslin.partition logger: N, Newton
-    iterations, region-statistics passes (4 at N = 1000), whether the
-    polishing step was kept, and the final residual norm over all breakpoints.
+    Each full step is kept.  Once the mirrored residuals e_1 - e_k have norm
+    <= 1e-10 (_TOL), which takes at most 4 steps (_MAX_STEPS), one more step
+    polishes the result, and its full pass certifies it as Partition
+    construction would.  A step whose point has a boundary that is not finite
+    or a region without positive mass, the polishing step included, or a
+    residual still above _TOL after 4 steps raises SolverError with the last
+    usable point and its residual over all breakpoints.  Each call logs one
+    DEBUG record on the losslin.partition logger: N, Newton steps, region
+    statistics passes (steps + 2; 4 at N = 1000) and the final residual norm
+    over all breakpoints.
     """
     n_regions = _count(n_regions, 1, "n_regions must be a positive integer, got "
                        + _shown(n_regions, object), _MAX_REGIONS)
@@ -340,67 +344,38 @@ def solve_minimax(n_regions: int) -> Partition:
     if n_regions <= 2:
         part = Partition.from_boundaries(() if n_regions == 1 else (0.0,))
         if _log.isEnabledFor(logging.DEBUG):
-            _log.debug(_SOLVE_RECORD, n_regions, 0, 1, False,
-                       _full_residual_norm(part._errors))
+            _log.debug(_SOLVE_RECORD, n_regions, 0, 1, _full_residual_norm(part._errors))
         return part
 
-    rows = (n_regions + 1) // 2
     neg = _start(n_regions)
-
     stats = _symmetric_stats(neg, n_regions, half=True)
-    eps = float(np.add.reduce(stats[3]) / rows)
+    eps = float(np.add.reduce(stats[3]) / stats[3].size)
     r = stats[3] - eps
-    norm2 = float(r @ r)
-    iterations = 0
-    passes = 1
-
-    while True:
+    for iterations in range(_MAX_STEPS + 1):
         # Newton converges quadratically, so a step from a point that meets
-        # _TOL lands at rounding level; that polishing step is the last
+        # _TOL lands at rounding level; that polishing step is the last, and
+        # its pass covers all regions, as it certifies the result
         polishing = _full_residual_norm(_mirrored(stats[3], n_regions)) <= _TOL
-        if not polishing and iterations == _MAX_ITER:
-            raise SolverError(
-                f"no convergence within {_MAX_ITER} iterations for {n_regions} regions",
-                best=_expand_symmetric(neg, n_regions),
-                residual=_residual_at(neg, n_regions),
-            )
+        if not polishing and iterations == _MAX_STEPS:
+            break
         delta, d_eps = _newton_step(*_reduced_jacobian(stats, n_regions), r)
         trial_neg = neg + delta
-        # the polishing pass covers all regions, as it certifies the result
         trial = _symmetric_stats(trial_neg, n_regions, half=not polishing)
-        kept = False
-        if trial is not None:
-            passes += 1
-            trial_r = trial[3][:rows] - (eps + d_eps)
-            if polishing or float(trial_r @ trial_r) < norm2:
-                neg, eps, stats, r = trial_neg, eps + d_eps, trial, trial_r
-                norm2 = float(r @ r)
-                kept = True
-        if polishing:
+        if trial is None:
             break
-        if not kept:
-            residual = _residual_at(neg, n_regions)
-            raise SolverError(
-                f"Newton iteration stalled for {n_regions} regions"
-                f" at residual {residual:.3g} > tol {_TOL:.3g}",
-                best=_expand_symmetric(neg, n_regions),
-                residual=residual,
-            )
-        iterations += 1
+        if polishing:
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug(_SOLVE_RECORD, n_regions, iterations, iterations + 2,
+                           _full_residual_norm(trial[3]))
+            return Partition.__new__(Partition)._certify(trial[0], trial[1:])
+        neg, eps, stats = trial_neg, eps + d_eps, trial
+        r = stats[3] - eps
 
-    if not kept:
-        # the polishing point is unusable: certify the converged point
-        stats = _symmetric_stats(neg, n_regions)
-        passes += 1
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(_SOLVE_RECORD, n_regions, iterations, passes, kept,
-                   _full_residual_norm(stats[3]))
-    return Partition.__new__(Partition)._certify(stats[0], stats[1:])
-
-
-def _residual_at(neg: np.ndarray, n_regions: int) -> float:
-    """_full_residual_norm of the symmetric point's errors over all N regions."""
-    return _full_residual_norm(_symmetric_stats(neg, n_regions)[3])
+    last = _symmetric_stats(neg, n_regions)
+    residual = _full_residual_norm(last[3])
+    raise SolverError(f"no certified partition of {n_regions} regions after {iterations}"
+                      f" Newton steps: residual {residual:.3g}, tol {_TOL:.3g}",
+                      best=last[0][:-1], residual=residual)
 
 
 def _full_residual_norm(e: np.ndarray) -> float:

@@ -111,8 +111,8 @@ class TestTable:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_failing_size_writes_nothing(self, capsys, tmp_path, monkeypatch, to_file):
-        # N = 1 and 2 are analytic; the first Newton solve, 4 segments, stalls,
-        # as no residual meets a negative tolerance
+        # N = 1 and 2 are analytic; the first Newton solve, 4 segments, fails
+        # after its 4 steps, as no residual meets a negative tolerance
         monkeypatch.setattr(partition_mod, "_TOL", -1.0)
         target = tmp_path / "table.csv"
         argv = ("table", "--max", "4")
@@ -121,7 +121,7 @@ class TestTable:
         assert out == ""
         assert not target.exists()
         assert len(err.splitlines()) == 1 and err.startswith("error: segment count 4:")
-        assert "stalled" in err
+        assert ": no certified partition of 3 regions after 4 Newton steps: " in err
 
 
 class TestBounds:
@@ -212,8 +212,8 @@ class TestBounds:
         rc, out, err = run(capsys, "bounds", "--segments", "8")
         assert rc == 1
         assert out == ""
-        assert re.fullmatch(r"error: Newton iteration stalled for 7 regions "
-                            r"at residual \S+ > tol 1e-30\n", err)
+        assert re.fullmatch(r"error: no certified partition of 7 regions after 4 Newton steps: "
+                            r"residual \S+, tol 1e-30\n", err)
 
 
 class TestMatchesLibrary:

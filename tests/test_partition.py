@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import logging
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from losslin import (
+    BoundReport,
     BreakpointErrors,
     GenericDistribution,
     InvalidParameterError,
@@ -22,6 +25,7 @@ from losslin import (
     parameter_table,
     phi,
     solve_minimax,
+    to_json,
 )
 from losslin import gaussian as gaussian_mod
 from losslin import loss_core as loss_core_mod
@@ -292,9 +296,9 @@ class TestNewtonSystem:
         monkeypatch.setattr(partition_mod, "_reduced_jacobian", tiny_ratios)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="stalled") as info:
+            with pytest.raises(SolverError, match=" after 0 Newton steps: ") as info:
                 solve_minimax(n)
-        assert np.array_equal(info.value.best, partition_mod._expand_symmetric(start, n))
+        assert np.array_equal(info.value.best, partition_mod._symmetric_limits(start, n)[:-1])
 
     @staticmethod
     def counting_kernels(monkeypatch):
@@ -324,9 +328,9 @@ class TestNewtonSystem:
     def test_region_stats_evaluates_each_kernel_twice(self, monkeypatch):
         # one fused Phi/phi call on the boundaries, one on the conditional
         # means, and no call of the public cdf or phi
-        upper = partition_mod._expand_symmetric(self.perturbed_point(101), 101)
+        upper = partition_mod._symmetric_limits(self.perturbed_point(101), 101)
         calls = self.counting_kernels(monkeypatch)
-        partition_mod._region_stats(np.append(upper, math.inf))
+        partition_mod._region_stats(upper)
         assert calls == ["_cdf_phi", "_cdf_phi"]
         assert not hasattr(partition_mod, "closs_std")
 
@@ -339,17 +343,22 @@ class TestNewtonSystem:
         assert start.shape == want.shape and np.all(start < 0.0)
         assert np.array_equal(start, want)
 
-    def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls):
-        # every size to 300, then a stride up to the CLI cap of 10000 regions,
-        # and two sizes whose polishing point has the larger reduced residual
-        # on x86-64 with numpy 2
-        for n in [*range(3, 301), *range(301, 10000, 199), 4024, 4038, 10000]:
-            del region_stats_calls[:]
-            spread = breakpoint_errors(solve_minimax(n)).spread
-            passes = len(region_stats_calls)
-            assert spread <= 1e-10 and passes <= 4, (n, spread, passes)
-            # three half passes and the full polishing pass: four full passes would be 4N
-            assert sum(region_stats_calls) <= 2.5 * n + 2, (n, region_stats_calls)
+    def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls, caplog):
+        # every size to 300, then strides up to the cap of 30000 regions, and
+        # two sizes whose polishing point has the larger reduced residual on
+        # x86-64 with numpy 2: each takes one or two of its 4 Newton steps
+        # (_MAX_STEPS), then the polish
+        sizes = [*range(3, 301), *range(301, 10000, 199), 4024, 4038, 10000,
+                 *range(10001, 30001, 997), 30000]
+        with caplog.at_level(logging.DEBUG, logger="losslin.partition"):
+            for n in sizes:
+                del region_stats_calls[:]
+                spread = breakpoint_errors(solve_minimax(n)).spread
+                _, iterations, passes, _ = caplog.records[-1].args
+                assert spread <= 1e-10 and iterations <= 2, (n, spread, iterations)
+                assert passes == iterations + 2 == len(region_stats_calls), (n, passes)
+                # half passes and the full polishing pass: four full passes would be 4N
+                assert sum(region_stats_calls) <= 2.5 * n + 2, (n, region_stats_calls)
 
     @pytest.mark.parametrize("n", [100, 300, 1000, 3000, 10000])
     def test_polished_residual_reaches_rounding_level(self, n):
@@ -371,27 +380,27 @@ class TestNewtonSystem:
         assert breakpoint_errors(p).spread <= 1e-10
 
     def test_stall_reports_best_point(self, monkeypatch):
-        # a tolerance below rounding cannot be met: a full Newton step from
-        # a point at rounding level does not lower the residual; the message
-        # names the residual reached and the tolerance
+        # a tolerance below rounding cannot be met within the 4 Newton steps;
+        # the message names N, the steps, the residual reached and the tolerance
         want = solve_minimax(7).upper_limits[:-1]
         monkeypatch.setattr(partition_mod, "_TOL", 1e-30)
         with pytest.raises(SolverError,
-                           match=r"^Newton iteration stalled for 7 regions "
-                                 r"at residual \S+ > tol 1e-30$") as info:
+                           match=r"^no certified partition of 7 regions after 4 Newton steps: "
+                                 r"residual \S+, tol 1e-30$") as info:
             solve_minimax(7)
-        assert f"at residual {info.value.residual:.3g} >" in str(info.value)
+        assert f"residual {info.value.residual:.3g}," in str(info.value)
         best = np.asarray(info.value.best)
         assert best.size == 6 and np.all(np.diff(best) > 0)
         assert best == approx(want, abs=1e-9)
         assert 0.0 <= info.value.residual <= 1e-10
 
     def test_stall_is_found_without_step_halving(self, region_stats_calls, monkeypatch):
-        # a rejected step fails the solve at once: no shorter steps are tried
+        # the start and 4 full steps over the 4 distinct regions, then one full
+        # pass for the last point's residual: no shorter steps are tried
         monkeypatch.setattr(partition_mod, "_TOL", 1e-30)
-        with pytest.raises(SolverError, match="stalled"):
+        with pytest.raises(SolverError, match=" after 4 Newton steps: "):
             solve_minimax(7)
-        assert len(region_stats_calls) <= 8
+        assert region_stats_calls == [4, 4, 4, 4, 4, 7]
 
     @pytest.mark.parametrize("bad_step", [
         lambda neg: [neg[1] - neg[0], neg[0] - neg[1], 0.0],
@@ -409,9 +418,9 @@ class TestNewtonSystem:
                             lambda *args: (np.asarray(bad_step(start)), 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="stalled") as info:
+            with pytest.raises(SolverError, match=" after 0 Newton steps: ") as info:
                 solve_minimax(n)
-        assert np.array_equal(info.value.best, partition_mod._expand_symmetric(start, n))
+        assert np.array_equal(info.value.best, partition_mod._symmetric_limits(start, n)[:-1])
         e = partition_mod._symmetric_stats(start, n)[3]
         assert info.value.residual == partition_mod._full_residual_norm(e)
 
@@ -458,8 +467,10 @@ class TestHalfPasses:
                                             polish, kept):
         # a zero polishing step does not lower the reduced residual, but its
         # point is usable: it is kept and its full pass certifies it.  A NaN
-        # point is not evaluated: the converged point is certified by one
-        # full pass instead
+        # point is not evaluated: the solve fails with the converged point and
+        # its residual, from one full pass
+        want = solve_minimax(1000).upper_limits[:-1]
+        del region_stats_calls[:]
         step, steps = partition_mod._newton_step, []
 
         def replaced(*args):
@@ -467,13 +478,23 @@ class TestHalfPasses:
             delta, d_eps = step(*args)
             return polish(delta, d_eps) if len(steps) == 3 else (delta, d_eps)
         monkeypatch.setattr(partition_mod, "_newton_step", replaced)
-        with caplog.at_level(logging.DEBUG, logger="losslin"):
-            p = solve_minimax(1000)
-        assert caplog.records[-1].args[2:4] == (4, kept)
-        assert region_stats_calls == [500, 500, 500, 1000]
-        q = Partition(p.upper_limits)
-        assert q == p and _bits(q._errors) == _bits(p._errors)
-        assert breakpoint_errors(p).spread <= 1e-10
+        if kept:
+            with caplog.at_level(logging.DEBUG, logger="losslin"):
+                p = solve_minimax(1000)
+            assert caplog.records[-1].args[1:3] == (2, 4)
+            assert region_stats_calls == [500, 500, 500, 1000]
+            q = Partition(p.upper_limits)
+            assert q == p and _bits(q._errors) == _bits(p._errors)
+            assert breakpoint_errors(p).spread <= 1e-10
+        else:
+            with pytest.raises(SolverError,
+                               match=r"^no certified partition of 1000 regions after 2 Newton"
+                                     r" steps: residual \S+, tol 1e-10$") as info:
+                solve_minimax(1000)
+            assert region_stats_calls == [500, 500, 500, 1000]
+            best = Partition.from_boundaries(info.value.best)
+            assert info.value.residual == partition_mod._full_residual_norm(best._errors) <= 1e-10
+            assert best.upper_limits[:-1] == approx(want, abs=1e-8)
 
 
 class TestOnePass:
@@ -509,6 +530,20 @@ class TestOnePass:
         assert [f.name for f in dataclasses.fields(Partition) if f.init] == ["upper_limits"]
         with pytest.raises(TypeError):
             Partition(p.upper_limits, _errors=breakpoint_errors(p).values)
+
+    @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)),
+                                         copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_certified_afresh(self, copy_of):
+        # a copy is rebuilt from its upper limits: read-only arrays, no cache
+        p = solve_minimax(1000)
+        text = to_json(BoundReport(p))
+        assert {"_chain", "_texts"} <= set(vars(p))
+        q = copy_of(p)
+        assert q == p and not {"_chain", "_texts"} & set(vars(q))
+        assert not any(a.flags.writeable for a in (q._errors, q._big_phi, q._small_phi))
+        assert _bits(q._errors) == _bits(p._errors)
+        assert to_json(BoundReport(q)) == text
 
 
 def _region_stats_reference(upper):
@@ -585,18 +620,18 @@ class TestSolveLog:
 
     def test_record_counts_the_solve(self, caplog, region_stats_calls):
         part, record = self.solve_records(caplog, 1000)
-        n, iterations, passes, polish_kept, residual = record.args
+        n, iterations, passes, residual = record.args
         assert (n, iterations) == (1000, 2)
-        assert passes == len(region_stats_calls) == 4
-        assert polish_kept is True
+        assert passes == len(region_stats_calls) == iterations + 2
         e = np.asarray(breakpoint_errors(part).values)
         assert residual == partition_mod._full_residual_norm(e) <= 1e-13
-        assert record.getMessage().startswith("solve_minimax n_regions=1000 iterations=2 passes=4 ")
+        assert record.getMessage().startswith(
+            "solve_minimax n_regions=1000 iterations=2 passes=4 residual=")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_forms_log_no_iterations(self, caplog, n):
         _, record = self.solve_records(caplog, n)
-        assert record.args[:4] == (n, 0, 1, False)
+        assert record.args == (n, 0, 1, 0.0)
 
     def test_silent_by_default(self, capfd):
         handlers = logging.getLogger("losslin").handlers
