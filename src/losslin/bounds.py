@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,13 @@ _EQUAL_ERROR_RELATIVE = 1e-5
 class PiecewiseLinear:
     """An ordered chain of linear segments, continuous at its breakpoints.
 
-    std_* fields hold the standard-scale closs chain, whatever the target
-    (one more segment than breakpoints; outer segments unbounded, of slopes
-    0 and 1), as tuples of Python floats whatever sequence was passed.  The
-    breakpoints, slopes and intercepts fields hold its domain rows at scale
-    and target, which construction computes once (_place) and rejects unless
-    every value is finite.  The builders return views of chains validated here.
+    Its fields are its six constructor arguments.  The std_* fields hold the
+    standard-scale closs chain, whatever the target (one more segment than
+    breakpoints; outer segments unbounded, of slopes 0 and 1), as tuples of
+    Python floats whatever sequence was passed.  The derived attributes
+    breakpoints, slopes and intercepts hold its domain rows at scale and
+    target, which construction computes once (_place) and rejects unless every
+    value is finite.  The builders return views of chains validated here.
     """
 
     std_breakpoints: tuple[float, ...]
@@ -59,9 +60,6 @@ class PiecewiseLinear:
     kind: str  # "lower" | "upper"
     target: str  # "closs" | "loss"
     scale: NormalParams
-    breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    intercepts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_view(self.scale, self.target)
@@ -188,10 +186,11 @@ def build_upper_chord(domain_breakpoints, scale: NormalParams = STANDARD,
 class BoundReport:
     """A matched lower/upper bound pair with its error certificate.
 
-    A report is its partition, scale and target, the only constructor
-    arguments.  Construction rejects a partition whose breakpoint errors
-    spread by more than 1e-6 or 1e-5 * max_error.
-    Its bounds are views of the partition's chains (see the module docstring).
+    A report is its partition, scale and target: they are its fields and its
+    only constructor arguments, so ==, hash and repr read nothing else.
+    Construction rejects a partition whose breakpoint errors spread by more
+    than 1e-6 or 1e-5 * max_error, and sets the derived attributes lower and
+    upper, views of the partition's chains (see the module docstring).
     The lower bound's error peaks at its breakpoints, the rescaled
     conditional means; the upper bound's at upper_error_locations, the
     rescaled region boundaries and +-infinity.  Both peaks equal max_error,
@@ -201,8 +200,6 @@ class BoundReport:
     partition: Partition
     scale: NormalParams = STANDARD
     target: str = "closs"
-    lower: PiecewiseLinear = field(init=False)
-    upper: PiecewiseLinear = field(init=False)
 
     def __post_init__(self):
         spread = _instance(self.partition, Partition, "partition")._chain[0]

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Three subcommands: ``eval`` prints the exact loss value at a point,
-``table`` regenerates the optimal-parameter table, ``bounds`` builds a
-bound pair and writes it in one of the export formats.  Segment counts on
-the command line follow the user-facing convention (the lower bound's
-segment count, which is one more than the number of partition regions).
+``table`` regenerates the optimal-parameter table, ``bounds`` writes a
+bound pair in one of the export formats, or its partition's parameter row
+as CSV.  Segment counts on the command line follow the user-facing
+convention (the lower bound's segment count, which is one more than the
+number of partition regions).
 
 Each option's default is set once, in the parser; ``losslin SUBCOMMAND
 --help`` shows it.  The library checks mu and sigma; the CLI checks only
@@ -124,15 +125,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     scale = NormalParams(args.mu, args.sigma)
     _in_range("n-points", args.n_points, _MAX_PLOT_POINTS)
     part = solve_minimax(args.segments - 1)
-    report = build_report(part, scale, args.target)
-    if args.fmt == "json":
-        text = to_json(report)
-    elif args.fmt == "csv":
+    if args.fmt == "csv":  # the partition's row, the same at every scale: no report
         text = to_csv_table([part])
-    elif args.fmt == "lp":
-        text = to_lp_constraints(report, args.var_x, args.var_l)
     else:
-        text = plot_data(report, args.n_points)
+        report = build_report(part, scale, args.target)
+        if args.fmt == "json":
+            text = to_json(report)
+        elif args.fmt == "lp":
+            text = to_lp_constraints(report, args.var_x, args.var_l)
+        else:
+            text = plot_data(report, args.n_points)
     _write(text, args.out)
     return 0
 

@@ -40,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Mean and standard deviation of a normal random variable, stored as floats."""
+    """Mean and standard deviation of a normal random variable, stored as floats
+    (a mean of -0.0 as 0.0, so equal scales export equal bytes)."""
 
     mu: float = 0.0
     sigma: float = 1.0
@@ -52,7 +53,7 @@ class NormalParams:
             raise InvalidParameterError("mu and sigma must be finite")
         if sigma <= 0.0:
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
-        vars(self).update(mu=mu, sigma=sigma)
+        vars(self).update(mu=mu + 0.0, sigma=sigma)
 
 
 STANDARD = NormalParams(0.0, 1.0)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -110,26 +110,20 @@ def _region_stats(upper: np.ndarray):
 class Partition:
     """N adjacent regions of the standard normal support, given by their boundaries.
 
-    upper_limits are b_1 < ... < b_N with b_N = +inf (a -0.0 is read as 0.0),
-    the only constructor argument.  Construction parses them by losslin.errors'
-    rule and certifies one pass of region statistics (_certify, which
-    solve_minimax calls with its last pass): masses and cond_means follow the
-    module docstring, max_error is the largest breakpoint error, and the pass's
-    errors (_errors) and Phi and phi at -inf, b_1..b_N (_big_phi, _small_phi)
-    are kept read-only.  Instances can therefore be trusted downstream.  What
-    derives from the partition alone, its bound chain (_chain) and scale-free
-    export texts (_texts), it builds on first use and holds outside its fields,
-    where ==, hash and repr do not look.  A copy or pickle is rebuilt from
-    upper_limits alone (__reduce__), so it is certified afresh and holds no cache.
+    Its one field is its one constructor argument, upper_limits: b_1 < ... < b_N
+    with b_N = +inf (a -0.0 is read as 0.0), so ==, hash and repr read nothing
+    else.  Construction parses them by losslin.errors' rule and certifies one
+    pass of region statistics (_certify, which solve_minimax calls with its last
+    pass), from which it sets the derived attributes: masses and cond_means as in
+    the module docstring, max_error, the largest breakpoint error, and, read-only,
+    the pass's errors (_errors) and Phi and phi at -inf, b_1..b_N (_big_phi,
+    _small_phi).  Instances can therefore be trusted downstream.  Its bound chain
+    (_chain) and scale-free export texts (_texts) it builds on first use.  A copy
+    or pickle is rebuilt from upper_limits alone (__reduce__), so it is certified
+    afresh and holds no cache.
     """
 
     upper_limits: tuple[float, ...]
-    masses: tuple[float, ...] = field(init=False)
-    cond_means: tuple[float, ...] = field(init=False)
-    max_error: float = field(init=False)
-    _errors: np.ndarray = field(init=False, repr=False, compare=False)
-    _big_phi: np.ndarray = field(init=False, repr=False, compare=False)
-    _small_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = _real(self.upper_limits, InvalidParameterError,
@@ -143,7 +137,7 @@ class Partition:
         self._certify(b, _region_stats(b))
 
     def _certify(self, b: np.ndarray, stats) -> "Partition":
-        """Certify the _region_stats of limits b, set every field, arrays read-only; return self."""
+        """Certify the _region_stats of limits b, set every attribute, arrays read-only; return self."""
         if stats is None:
             raise InvalidParameterError("boundaries produce an empty or degenerate region")
         p, m, e, _, big_phi, small_phi = stats

@@ -344,6 +344,14 @@ def test_overflowing_scale_fails_loudly(capsys, fmt):
     assert err.startswith("error: domain-scale breakpoints and intercepts must be finite")
 
 
+def test_csv_at_an_overflowing_scale_writes_the_partition(capsys):
+    # the CSV table reads the partition alone, so no bound is placed at the scale
+    rc, out, err = run(capsys, "bounds", "--segments", "5", "--mu", "1e308",
+                       "--sigma", "1e308", "--format", "csv")
+    assert (rc, err) == (0, "")
+    assert out == to_csv_table([solve_minimax(4)])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sigma", ["1e308", "1.2e307"])
 def test_overflowing_plot_grid_fails_loudly(capsys, sigma):

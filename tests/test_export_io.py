@@ -147,8 +147,9 @@ class TestJson:
             from_json(text)
 
     def test_negative_zero_survives_the_round_trip(self):
-        text = to_json(build_report(solve_minimax(3), NormalParams(-0.0, 1.0)))
-        assert '"mu": -0,' in text
+        # a scale stores mu = -0.0 as 0.0, so the -0 comes from a bundle built by hand
+        text = losslin.ExportBundle({"mu": -0.0}, {}, {}, {}).to_text()
+        assert '"mu": -0' in text
         mu = from_json(text).metadata["mu"]
         assert mu == 0.0 and math.copysign(1.0, mu) == -1.0
         assert from_json(text).to_text() == text
@@ -467,6 +468,28 @@ class TestScaleFreeMemo:
             report = BoundReport(part, NormalParams(-4.0, 3.0), target)
             assert to_json(report) == to_json(report)
             assert to_lp_constraints(report) == to_lp_constraints(report)
+
+
+class TestEqualArguments:
+    """A certified object is its constructor arguments: objects built from equal
+    but distinct arguments are ==, hash and repr alike, and export equal bytes."""
+
+    @pytest.mark.parametrize("regions", [1, 30, 1000])
+    @pytest.mark.parametrize("target", ["closs", "loss"])
+    def test_equal_arguments_give_equal_objects_and_bytes(self, regions, target):
+        part = solve_minimax(regions)
+        pairs = [(part, Partition(part.upper_limits)),
+                 (NormalParams(-0.0, 1.0), NormalParams(0.0, 1.0))]
+        reports = tuple(BoundReport(p, s, target) for p, s in zip(*pairs))
+        for a, b in pairs + [reports]:
+            assert a is not b and a == b
+            assert hash(a) == hash(b) and repr(a) == repr(b)
+        r = reports[0]
+        assert repr(r) == (f"BoundReport(partition={r.partition!r}, scale={r.scale!r},"
+                           f" target={r.target!r})")
+        assert to_csv_table([pairs[0][0]]) == to_csv_table([pairs[0][1]])
+        for export in (to_json, to_lp_constraints, lambda report: plot_data(report, 201)):
+            assert export(reports[0]) == export(reports[1])
 
 
 class TestRender:

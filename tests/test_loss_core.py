@@ -214,12 +214,14 @@ class TestScaling:
 
     @pytest.mark.parametrize("mu, sigma", [
         (1, 2), (np.float32(1.1), np.float32(0.3)), (np.int64(-3), 1.0), (np.array(1.5), 2.0),
-    ], ids=["int", "float32", "numpy-int", "array-mu"])
+        (-0.0, 1.0),
+    ], ids=["int", "float32", "numpy-int", "array-mu", "negative-zero-mu"])
     def test_params_are_stored_as_floats(self, mu, sigma):
         params = NormalParams(mu, sigma)
         assert type(params.mu) is float and type(params.sigma) is float
         assert params == NormalParams(float(mu), float(sigma))
-        assert repr(params) == f"NormalParams(mu={float(mu)!r}, sigma={float(sigma)!r})"
+        # a mean of -0.0 is stored as 0.0
+        assert repr(params) == f"NormalParams(mu={float(mu) + 0.0!r}, sigma={float(sigma)!r})"
 
     def test_float32_scale_gives_the_float_bundle(self):
         part = solve_minimax(4)

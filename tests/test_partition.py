@@ -531,6 +531,10 @@ class TestOnePass:
         with pytest.raises(TypeError):
             Partition(p.upper_limits, _errors=breakpoint_errors(p).values)
 
+    def test_repr_is_the_constructor_call(self):
+        p = Partition.from_boundaries((-1.0, 0.0, 1.0))
+        assert repr(p) == f"Partition(upper_limits={p.upper_limits!r})"
+
     @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)),
                                          copy.deepcopy, copy.copy],
                              ids=["pickle", "deepcopy", "copy"])

@@ -1,5 +1,6 @@
 """The package's public surface: each module's __all__, re-exported once."""
 
+import dataclasses
 import importlib
 
 import losslin
@@ -48,3 +49,17 @@ def test_each_name_is_its_modules_object():
             # a function or class is defined there, not imported from elsewhere
             assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
             assert getattr(losslin, name) is obj, name
+
+
+def test_each_public_dataclass_field_is_a_constructor_argument():
+    # so ==, hash, repr and dataclasses.replace read the arguments and nothing derived
+    classes = {name: obj for name, obj in vars(losslin).items()
+               if name in losslin.__all__ and isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert {"Partition", "PiecewiseLinear", "BoundReport"} <= set(classes)
+    for name, cls in classes.items():
+        assert all(f.init for f in dataclasses.fields(cls)), name
+    assert [f.name for f in dataclasses.fields(losslin.Partition)] == ["upper_limits"]
+    assert [f.name for f in dataclasses.fields(losslin.PiecewiseLinear)] == [
+        "std_breakpoints", "std_slopes", "std_intercepts", "kind", "target", "scale"]
+    assert [f.name for f in dataclasses.fields(losslin.BoundReport)] == [
+        "partition", "scale", "target"]
