@@ -108,8 +108,11 @@ _FAR += [np.nextafter(e, t) for e in _FAR for t in (0.0, 2.0 * e)]
 _KERNEL_XS = np.concatenate([np.linspace(-45.0, 45.0, 180_001), _FAR, [0.0, -0.0]])
 _KERNEL_X = st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200), st.sampled_from(_FAR))
 # the (mu, sigma) scales of tests/test_output_pin.py
-_PIN_SCALES = [NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37), NormalParams(20.0, 5.0),
-               NormalParams(1e6, 1e-2), NormalParams(-0.0, 1.0)]
+_PIN_SCALE_ARGS = [(0.0, 1.0), (-12.3, 0.37), (20.0, 5.0), (1e6, 1e-2), (-0.0, 1.0)]
+_PIN_SCALES = [NormalParams(mu, sigma) for mu, sigma in _PIN_SCALE_ARGS]
+# Named by the constructor arguments: NormalParams stores a mean of -0.0 as 0.0,
+# so its repr alone would not tell the last case from the first.
+_PIN_SCALE_IDS = [f"NormalParams(mu={mu!r}, sigma={sigma!r})" for mu, sigma in _PIN_SCALE_ARGS]
 
 
 class TestClossKernel:
@@ -126,7 +129,7 @@ class TestClossKernel:
         assert closs_std(x) == want[0] and type(closs_std(x)) is float
         assert loss_std(-x) == want[0] and type(loss_std(-x)) is float
 
-    @pytest.mark.parametrize("p", _PIN_SCALES, ids=repr)
+    @pytest.mark.parametrize("p", _PIN_SCALES, ids=_PIN_SCALE_IDS)
     def test_scaled_bitwise_equal_to_closed_form(self, p):
         xs = p.mu + p.sigma * _KERNEL_XS
         want = p.sigma * _closs_std_reference((xs - p.mu) / p.sigma)
