@@ -4,7 +4,7 @@ Each bound is a standard-scale chain of the complementary loss, whatever its
 target, placed at a NormalParams scale and a target by one affine map, _place:
 breakpoints sigma t + mu, slopes s or, for the "loss" target, s - 1 (the shear
 loss(x) = closs(x) - (x - mu)), and intercepts sigma c - s' mu with the mapped
-slope s'; a view checks only the scale, the target and finiteness.  The lower
+slope s'; a lower view checks the scale and target, every view finiteness.  The lower
 bound collects the tangents of the complementary loss at the partition
 boundaries, the chain the partition builds once (Partition._chain) from the Phi
 and phi at its limits that its certifying pass computed, and which that
@@ -131,10 +131,10 @@ def _place(pl: PiecewiseLinear, rows: PiecewiseLinear | None = None) -> Piecewis
 
 def _view(partition: Partition, scale: NormalParams, target: str,
           lower: PiecewiseLinear | None = None) -> PiecewiseLinear:
-    """partition's tangent chain, which certification proves (Partition._chain), placed at
-    scale and target or, given its lower view there, lifted by max_error on that view's
-    rows (_place); the map keeps it valid, so only scale, target and finiteness are checked."""
-    _check_view(scale, target)
+    """partition's certified tangent chain (Partition._chain) at scale and target, which a lower
+    view checks, or, given that view, lifted by max_error on its rows (_place)."""
+    if lower is None:
+        _check_view(scale, target)
     _, slopes, tangents, lifted = partition._chain
     view = object.__new__(PiecewiseLinear)
     vars(view).update(std_breakpoints=partition.cond_means, std_slopes=slopes,

@@ -34,6 +34,7 @@ from losslin import (
     to_json,
     to_lp_constraints,
 )
+from losslin import bounds as bounds_mod
 from losslin import export_io
 from losslin import gaussian as gaussian_mod
 
@@ -522,6 +523,7 @@ class TestBoundReport:
         for bound in (report.lower, report.upper):
             assert max_gap(bound)[0] == approx(report.max_error, rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
     def test_partitions_past_the_cap_are_not_solved(self):
         # past 10**5 regions the float breakpoint errors no longer resolve the
         # spread, so such partitions are refused before any report is built
@@ -614,6 +616,7 @@ class TestStandardChainViews:
         upper = PiecewiseLinear(p.cond_means, slopes, raised, "upper", "closs", STANDARD)
         assert upper.std_intercepts == tuple(c + p.max_error for c in tangents)
 
+    @pytest.mark.filterwarnings("error")
     def test_a_report_evaluates_no_kernel_once_its_partition_exists(self, monkeypatch):
         # the chain reads Phi and phi at the limits from the certifying pass
         parts = [solve_minimax(n) for n in (1, 2, 30, 1000, 30000)]
@@ -665,6 +668,17 @@ class TestStandardChainViews:
                 build_lower(p, (0.0, 1.0))
             with pytest.raises(InvalidParameterError, match="Partition"):
                 BoundReport(p.upper_limits)
+
+    def test_a_report_checks_its_scale_and_target_once(self, monkeypatch):
+        # the upper view takes the scale and target its lower view has just checked
+        checked, check = [], bounds_mod._check_view
+        monkeypatch.setattr(bounds_mod, "_check_view",
+                            lambda *args: checked.append(args) or check(*args))
+        p, scale = solved(5), NormalParams(20.0, 5.0)
+        BoundReport(p, scale, "loss")
+        assert checked == [(scale, "loss")]
+        build_lower(p, scale, "closs")
+        assert checked == [(scale, "loss"), (scale, "closs")]
 
 
 class TestPiecewiseLinearValidation:
@@ -795,8 +809,9 @@ def test_scalar_evaluate_is_the_active_domain_segment(n, mu, sigma, target, kind
 
 
 def test_scalar_and_array_evaluate_agree_within_an_ulp_of_each_breakpoint():
-    # the pin's scales and a far one; both paths pick the segment by the domain
-    # breakpoints, and a breakpoint belongs to the segment on its right
+    # the output pin's scales, a mean of -0.0 and a far one; both paths pick the
+    # segment by the domain breakpoints, and a breakpoint belongs to the segment
+    # on its right
     scales = [NormalParams(mu, sigma) for mu, sigma in
               ((0.0, 1.0), (-12.3, 0.37), (20.0, 5.0), (1e6, 1e-2), (-0.0, 1.0), (1e8, 1.0))]
     for n in (2, 5, 30, 999):

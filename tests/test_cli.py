@@ -22,7 +22,7 @@ from losslin import (
     to_lp_constraints,
 )
 from losslin import partition as partition_mod
-from losslin.cli import _MAX_BOUNDS_SEGMENTS, _MAX_PLOT_POINTS, main
+from losslin.cli import _MAX_BOUNDS_SEGMENTS, _MAX_PLOT_POINTS, entry_point, main
 
 from reference_table import REFERENCE
 
@@ -334,6 +334,15 @@ class TestNegativeValues:
         assert (rc, err) == (0, "")
         assert out == to_json(build_report(solve_minimax(4), NormalParams(-1e-3, 1.0)))
 
+    @pytest.mark.parametrize("segments", ["2", "31", "1000"])
+    def test_bounds_mu_negative_zero_writes_the_bytes_of_zero(self, capsys, segments):
+        # a mean of -0.0 is stored as 0.0, so the output pin has no --mu -0.0 call
+        for target in ("closs", "loss"):
+            for fmt in (("json",), ("lp",), ("plot", "--n-points", "201"), ("csv",)):
+                neg, zero = (run(capsys, "bounds", "--segments", segments, "--target", target,
+                                 "--mu", mu, "--format", *fmt) for mu in ("-0.0", "0"))
+                assert neg == zero and zero[0] == 0, (target, fmt)
+
 
 @pytest.mark.parametrize("fmt", ["json", "lp"])
 def test_overflowing_scale_fails_loudly(capsys, fmt):
@@ -345,11 +354,19 @@ def test_overflowing_scale_fails_loudly(capsys, fmt):
 
 
 def test_csv_at_an_overflowing_scale_writes_the_partition(capsys):
-    # the CSV table reads the partition alone, so no bound is placed at the scale
-    rc, out, err = run(capsys, "bounds", "--segments", "5", "--mu", "1e308",
-                       "--sigma", "1e308", "--format", "csv")
-    assert (rc, err) == (0, "")
-    assert out == to_csv_table([solve_minimax(4)])
+    # the CSV table reads the partition alone, so no bound is placed at the scale,
+    # and the table is the same at every scale and target: the output pin holds
+    # one CSV call per segment count
+    scales = [("1e308", "1e308"), ("0", "1"), ("-12.3", "0.37"), ("20", "5"), ("1e6", "1e-2"),
+              ("-0.0", "1")]
+    for segments in (5, 2, 31, 1000):
+        want = to_csv_table([solve_minimax(segments - 1)])
+        for mu, sigma in scales:
+            for target in ("closs", "loss"):
+                rc, out, err = run(capsys, "bounds", "--segments", str(segments), "--target",
+                                   target, "--mu", mu, "--sigma", sigma, "--format", "csv")
+                assert (rc, err) == (0, "")
+                assert out == want, (segments, mu, sigma, target)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -400,3 +417,15 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.398942280401"
+
+
+@pytest.mark.parametrize("argv, status", [(["table", "--max", "3"], 0),
+                                          (["bounds", "--segments", "1"], 1)],
+                         ids=["table", "refused"])
+def test_console_script_exits_with_the_status_of_main(monkeypatch, capsys, argv, status):
+    # pyproject.toml's [project.scripts] names entry_point as the losslin command
+    monkeypatch.setattr(sys, "argv", ["losslin", *argv])
+    with pytest.raises(SystemExit) as info:
+        entry_point()
+    assert info.value.code == status
+    assert bool(capsys.readouterr().err) == bool(status)

@@ -397,9 +397,10 @@ def _exports(part: Partition, scale: NormalParams, target: str) -> tuple[str, st
 class TestScaleFreeMemo:
     """Partition._texts: what a partition and target fix is rendered once per partition object."""
 
-    SCALES = (NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37), NormalParams(1e6, 1e-2),
-              NormalParams(-1e8, 1.0))
+    SCALES = (NormalParams(0.0, 1.0), NormalParams(-12.3, 0.37), NormalParams(20.0, 5.0),
+              NormalParams(1e6, 1e-2), NormalParams(-1e6, 1e-2), NormalParams(-1e8, 1.0))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("segments", [2, 3, 12, 31])
     def test_a_hit_writes_the_bytes_of_a_miss(self, segments):
         solved = solve_minimax(segments - 1)
@@ -474,7 +475,8 @@ class TestEqualArguments:
     """A certified object is its constructor arguments: objects built from equal
     but distinct arguments are ==, hash and repr alike, and export equal bytes."""
 
-    @pytest.mark.parametrize("regions", [1, 30, 1000])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regions", [1, 30, 1000, 4038])
     @pytest.mark.parametrize("target", ["closs", "loss"])
     def test_equal_arguments_give_equal_objects_and_bytes(self, regions, target):
         part = solve_minimax(regions)
@@ -485,6 +487,7 @@ class TestEqualArguments:
             assert a is not b and a == b
             assert hash(a) == hash(b) and repr(a) == repr(b)
         r = reports[0]
+        assert r.upper.intercepts == reports[1].upper.intercepts
         assert repr(r) == (f"BoundReport(partition={r.partition!r}, scale={r.scale!r},"
                            f" target={r.target!r})")
         assert to_csv_table([pairs[0][0]]) == to_csv_table([pairs[0][1]])

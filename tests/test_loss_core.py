@@ -107,7 +107,7 @@ _FAR = [e * s for e in (38.0, 40.0, 1e200) for s in (1.0, -1.0)]
 _FAR += [np.nextafter(e, t) for e in _FAR for t in (0.0, 2.0 * e)]
 _KERNEL_XS = np.concatenate([np.linspace(-45.0, 45.0, 180_001), _FAR, [0.0, -0.0]])
 _KERNEL_X = st.one_of(st.floats(-45.0, 45.0), st.floats(-1e200, 1e200), st.sampled_from(_FAR))
-# the (mu, sigma) scales of tests/test_output_pin.py
+# (mu, sigma) scales from the standard one to |mu|/sigma = 1e8, and a mean of -0.0
 _PIN_SCALE_ARGS = [(0.0, 1.0), (-12.3, 0.37), (20.0, 5.0), (1e6, 1e-2), (-0.0, 1.0)]
 _PIN_SCALES = [NormalParams(mu, sigma) for mu, sigma in _PIN_SCALE_ARGS]
 # Named by the constructor arguments: NormalParams stores a mean of -0.0 as 0.0,
@@ -356,7 +356,7 @@ class TestGenericDistribution:
 
     def test_matches_closed_form(self):
         dist = std_normal_generic()
-        for x in (-3.0, -1.0, 0.25, 1.0, 2.5):
+        for x in (-3.0, -1.0, 0.25, 0.5, 1.0, 2.5):
             assert closs_generic(x, dist, 1e-10) == approx(closs_std(x), abs=1e-9)
 
     def test_known_point(self):

@@ -451,9 +451,9 @@ class TestHalfPasses:
                              partition_mod._reduced_jacobian(full, n)):
             assert _bits(got) == _bits(want)
 
-    @pytest.mark.parametrize("n", [4024, 4038])
+    @pytest.mark.parametrize("n", [999, 4024, 4038])
     def test_completed_partition_is_its_own_construction(self, n):
-        # at these sizes the polishing point has the larger reduced residual
+        # at 4024 and 4038 the polishing point has the larger reduced residual
         # on x86-64 with numpy 2; it is kept and its full pass certifies it
         p = solve_minimax(n)
         q = Partition(p.upper_limits)
@@ -623,14 +623,18 @@ class TestSolveLog:
         return part, records[0]
 
     def test_record_counts_the_solve(self, caplog, region_stats_calls):
-        part, record = self.solve_records(caplog, 1000)
-        n, iterations, passes, residual = record.args
-        assert (n, iterations) == (1000, 2)
-        assert passes == len(region_stats_calls) == iterations + 2
-        e = np.asarray(breakpoint_errors(part).values)
-        assert residual == partition_mod._full_residual_norm(e) <= 1e-13
-        assert record.getMessage().startswith(
-            "solve_minimax n_regions=1000 iterations=2 passes=4 residual=")
+        # 4038 keeps a polishing point whose reduced residual rises (TestHalfPasses)
+        for size in (1000, 4038):
+            caplog.clear()
+            del region_stats_calls[:]
+            part, record = self.solve_records(caplog, size)
+            n, iterations, passes, residual = record.args
+            assert (n, iterations) == (size, 2)
+            assert passes == len(region_stats_calls) == iterations + 2
+            e = np.asarray(breakpoint_errors(part).values)
+            assert residual == partition_mod._full_residual_norm(e) <= 1e-13
+            assert record.getMessage().startswith(
+                f"solve_minimax n_regions={size} iterations=2 passes=4 residual=")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_forms_log_no_iterations(self, caplog, n):

@@ -153,6 +153,7 @@ def test_valid_call_succeeds(name):
 @example(name="parameter_table", position=0, value=2**64)
 @example(name="plot_data", position=1, value=2**64)
 @example(name="cdf", position=0, value=RAGGED)
+@example(name="Partition", position=0, value=RAGGED)
 @example(name="GenericDistribution", position=1, value=True)
 @example(name="max_gap", position=1, value="junk")
 def test_hostile_argument_raises_only_losslin_errors(name, position, value):
