@@ -67,7 +67,9 @@ def _real(x, error, message: str, ndim: int | None = None):
     """x as a float array, or a float if ndim == 0; error(message) unless x is int
     or float with ndim dimensions (any if None), checked before the cast, which
     would parse strings, read bools, also among numbers, and drop imaginary parts.
-    An iterator is read into a tuple when ndim == 1.  message may name {dtype} and {type}."""
+    An int past 64 bits is read as the nearest float, and one that no float
+    holds is rejected as such.  An iterator is read into a tuple when ndim == 1.
+    message may name {dtype} and {type}."""
     if ndim == 1 and isinstance(x, Iterator):
         x = tuple(x)
     try:
@@ -83,6 +85,16 @@ def _real(x, error, message: str, ndim: int | None = None):
     if arr.dtype.kind in "iuf" and isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
             map(type, x if arr.ndim == 1 else np.array(x, dtype=object).flat)):
         arr = np.array(False)
+    # np.asarray reads an int past int64 and uint64 as an object, alone or among numbers
+    elif arr.dtype.kind == "O" and not isinstance(x, np.ndarray):
+        flat = arr.ravel().tolist()
+        if any(isinstance(v, (bool, np.bool_)) for v in flat):
+            arr = np.array(False)
+        elif all(isinstance(v, (int, float, np.integer, np.floating)) for v in flat):
+            try:
+                arr = np.array([float(v) for v in flat]).reshape(arr.shape)
+            except OverflowError:
+                raise error("an int argument is beyond the float range") from None
     if arr.dtype.kind not in "iuf" or (ndim is not None and arr.ndim != ndim):
         raise error(message.format(dtype=arr.dtype, type=type(x).__name__))
     return float(arr) if ndim == 0 else arr.astype(float, copy=False)

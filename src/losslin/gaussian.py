@@ -61,15 +61,21 @@ def cdf(x):
 def _cdf_phi(x: np.ndarray, big: np.ndarray, small: np.ndarray):
     """Write Phi(x) into big and phi(x) into small for a float array x without
     NaN; returns both.  cdf is the Phi half, and phi(x) of finite x
-    is bit for bit what phi returns."""
+    is bit for bit what phi returns.  Every step writes through big and
+    small, so the clipped x is the one temporary."""
     # phi's operations in their order; the clip at 40 changes only saturated Phi
-    t = np.minimum(np.maximum(x, -40.0), 40.0)
-    np.multiply(special.erfc(t / -_SQRT2), 0.5, out=big)
-    np.multiply(-0.5 * t, t, out=small)
+    t = np.maximum(x, -40.0, out=np.empty_like(x))
+    np.minimum(t, 40.0, out=t)
+    np.divide(t, -_SQRT2, out=big)
+    special.erfc(big, out=big)
+    np.multiply(big, 0.5, out=big)
+    np.multiply(-0.5, t, out=small)
+    np.multiply(small, t, out=small)
     # (-t/2) t rounds to <= -722 exactly when |t| >= 38; saturation is rare
     if np.minimum.reduce(small, axis=None, initial=0.0) <= -0.5 * SATURATION * SATURATION:
         big[t <= -SATURATION], big[t >= SATURATION] = 0.0, 1.0
-    np.multiply(_INV_SQRT_2PI, np.exp(small), out=small)
+    np.exp(small, out=small)
+    np.multiply(_INV_SQRT_2PI, small, out=small)
     return big, small
 
 

@@ -33,14 +33,15 @@ errors.
 For a narrow region the breakpoint error is about phi(m) h^2 / 24, where h
 is its width, so equal errors give h proportional to phi^(-1/2): the
 boundaries have density proportional to exp(-x^2 / 4), the N(0, 2)
-density.  Newton starts from the N(0, 2) quantiles at an index shifted by
-0.15 (_start), inside its quadratic basin for every N, and takes full steps
-only: one or two for every N up to 3000 and every 37th N up to 30000, within
-a budget of 4 (_MAX_STEPS).  The step after the residual falls to 1e-10
-polishes the result to rounding level; its pass covers all N regions and
-certifies the result.  A solve therefore makes iterations + 2 passes, at
-N = 1000 four: 3 over 500 regions and the polish over 1000.  Any other
-outcome raises one SolverError.
+density.  Newton starts from the N(0, 2) quantiles at the index k + delta,
+where delta(k, N), about 0.15, is a least-squares fit to the solved
+partitions (_start), and takes full steps only: none or one for every N
+up to 30000 but N = 3 and 5-7, which take two, within a budget of 4
+(_MAX_STEPS).  The step after the residual falls to
+1e-10 polishes the result to rounding level; its pass covers all N regions
+and certifies the result.  A solve therefore makes iterations + 2 passes,
+at N = 1000 two: the start over 500 regions and the polish over 1000.  Any
+other outcome raises one SolverError.
 """
 
 from __future__ import annotations
@@ -85,11 +86,13 @@ def _region_stats(upper: np.ndarray):
     last limit selects a partition's first k regions, and their stats come
     out bit for bit as in the full pass, since every operation is
     elementwise.  Two fused kernel calls evaluate Phi and phi at the finite
-    limits and at the conditional means.  Positive masses imply strictly
-    increasing limits, so None also rejects crossed ones.
+    limits, into one zeroed (2, k + 1) block, and at the conditional means,
+    into one (2, k) block in which Phi(m_i) - Phi(b_i) and the errors are then
+    formed in place.  Positive masses imply strictly increasing limits, so
+    None also rejects crossed ones.
     """
     finite = upper.size - 1 if upper[-1] == math.inf else upper.size
-    big_phi, small_phi = np.zeros(upper.size + 1), np.zeros(upper.size + 1)
+    big_phi, small_phi = np.zeros((2, upper.size + 1))
     big_phi[-1] = 1.0  # Phi(+inf); overwritten when the last limit is finite
     # Phi and phi are 0 at the lower limit -inf
     gaussian._cdf_phi(upper[:finite], big_phi[1:finite + 1], small_phi[1:finite + 1])
@@ -97,12 +100,14 @@ def _region_stats(upper: np.ndarray):
     p = big_phi_hi - big_phi[:-1]
     if not np.logical_and.reduce(p > 0.0):
         return None
-    m = (small_phi[:-1] - small_phi_hi) / p
+    m = small_phi[:-1] - small_phi_hi
+    m /= p
     if not np.logical_and.reduce(np.isfinite(m)):
         return None
-    big_m, small_m = gaussian._cdf_phi(m, np.empty_like(m), np.empty_like(m))
-    d_phi = big_m - big_phi_hi
-    e = (small_m - small_phi_hi) + m * d_phi
+    d_phi, e = gaussian._cdf_phi(m, *np.empty((2, m.size)))
+    d_phi -= big_phi_hi
+    e -= small_phi_hi
+    e += m * d_phi
     return p, m, e, d_phi, big_phi, small_phi
 
 
@@ -114,12 +119,14 @@ class Partition:
     with b_N = +inf (a -0.0 is read as 0.0), so ==, hash and repr read nothing
     else.  Construction parses them by losslin.errors' rule and certifies one
     pass of region statistics (_certify, which solve_minimax calls with its last
-    pass), from which it sets the derived attributes: masses and cond_means as in
-    the module docstring, max_error, the largest breakpoint error, and, read-only,
-    the pass's errors (_errors) and Phi and phi at -inf, b_1..b_N (_big_phi,
-    _small_phi).  Instances can therefore be trusted downstream.  Its bound chain
-    (_chain) and scale-free export texts (_texts) it builds on first use.  A copy
-    or pickle is rebuilt from upper_limits alone (__reduce__), so it is certified
+    pass), from which it sets max_error, the largest breakpoint error, and keeps,
+    read-only, the pass's masses and conditional means as in the module docstring
+    (_masses, _cond_means), its errors (_errors) and Phi and phi at -inf,
+    b_1..b_N (_big_phi, _small_phi).  Instances can therefore be trusted
+    downstream.  The tuples masses and cond_means, its bound chain (_chain) and
+    its scale-free export texts (_texts) it builds on first read, so a solve
+    converts no per-region arrays to Python floats but upper_limits.  A copy or
+    pickle is rebuilt from upper_limits alone (__reduce__), so it is certified
     afresh and holds no cache.
     """
 
@@ -150,14 +157,23 @@ class Partition:
             raise InvalidParameterError("each conditional mean must lie inside its region")
         if abs(float(np.dot(p, m))) > 1e-10:
             raise InvalidParameterError("the discretisation must preserve the zero mean")
-        e.flags.writeable = big_phi.flags.writeable = small_phi.flags.writeable = False
-        vars(self).update(upper_limits=tuple(b.tolist()), masses=tuple(p.tolist()),
-                          cond_means=tuple(m.tolist()), max_error=float(np.maximum.reduce(e)),
-                          _errors=e, _big_phi=big_phi, _small_phi=small_phi)
+        for a in (p, m, e, big_phi, small_phi):
+            a.flags.writeable = False
+        vars(self).update(upper_limits=tuple(b.tolist()), max_error=float(np.maximum.reduce(e)),
+                          _masses=p, _cond_means=m, _errors=e, _big_phi=big_phi,
+                          _small_phi=small_phi)
         return self
 
     def __reduce__(self):
         return (Partition, (self.upper_limits,))
+
+    @cached_property
+    def masses(self) -> tuple[float, ...]:
+        return tuple(self._masses.tolist())
+
+    @cached_property
+    def cond_means(self) -> tuple[float, ...]:
+        return tuple(self._cond_means.tolist())
 
     @cached_property
     def _chain(self) -> tuple:
@@ -305,12 +321,53 @@ def _newton_step(diag, sub, mid: float, r: np.ndarray):
     return u + d_eps * v, d_eps
 
 
+# least-squares coefficients of the start's index shift delta(k, N) in the terms
+# 1, u, u^2, u^3, sqrt(u), u sqrt(u), w, w^2, w^3, w g, w^2 g, g, g u, g sqrt(u),
+# g^2, g^2 u, w u, w sqrt(u) of u = k/(N + 0.3), w = 1/(k + 0.5), g = 1/ln N,
+# as scripts/fit_start.py fits them to the solved partitions of N = 3..10001
+_START_FIT = (
+    0.18853871434143957,  # 1
+    -0.0772351608866678,  # u
+    0.002041003390328859,  # u^2
+    -0.0005591353449843689,  # u^3
+    0.0005683666964381091,  # sqrt(u)
+    -0.0025828055296652345,  # u sqrt(u)
+    -0.027755730697314563,  # w
+    -0.009794373728504072,  # w^2
+    -0.0013040258516472522,  # w^3
+    0.026155292660170946,  # w g
+    -0.0010888549406517247,  # w^2 g
+    -0.08415179485985184,  # g
+    0.18453756514103878,  # g u
+    -0.008169028580521476,  # g sqrt(u)
+    0.031509356704208326,  # g^2
+    -0.08115590732128478,  # g^2 u
+    0.038140831476245994,  # w u
+    0.0034590971163722907,  # w sqrt(u)
+)
+
+
 def _start(n_regions: int) -> np.ndarray:
-    """Newton's start: the negative interior boundaries sqrt(2) inv_cdf((k + 0.15)/(N + 0.3)),
-    k = 1..ceil(N/2) - 1.  The solved ones sit at N(0, 2) quantiles whose index
-    is shifted by 0.15-0.17 for every N, so this lies in Newton's quadratic basin."""
-    k = np.arange(1, (n_regions + 1) // 2)
-    return math.sqrt(2.0) * gaussian.inv_cdf((k + 0.15) / (n_regions + 0.3))
+    """Newton's start: the negative interior boundaries sqrt(2) inv_cdf((k + delta)/(N + 0.3)),
+    k = 1..ceil(N/2) - 1, N >= 3.  The solved ones sit at N(0, 2) quantiles
+    whose index is shifted by 0.14-0.18, smoothly in k and N.  The model
+    delta(k, N) of _START_FIT follows those shifts to within 2e-4 for
+    N = 3..10001, so the start is at most one Newton step from the tolerance
+    for every N >= 10.  It is evaluated in a fixed order from elementwise
+    + - * / and sqrt and one scalar log, with the powers of g folded into
+    scalar coefficients, so its bits do not depend on numpy's SIMD dispatch."""
+    c = _START_FIT
+    k = np.arange(1.0, (n_regions + 1) // 2)
+    u = k / (n_regions + 0.3)
+    w = 1.0 / (k + 0.5)
+    r = np.sqrt(u)
+    g = 1.0 / math.log(n_regions)
+    delta = ((c[0] + g * (c[11] + g * c[14])) + u * ((c[1] + g * (c[12] + g * c[15]))
+                                                   + u * (c[2] + u * c[3]))
+             + r * ((c[4] + g * c[13]) + u * c[5])
+             + w * (((c[6] + g * c[9]) + w * ((c[7] + g * c[10]) + w * c[8]))
+                    + u * c[16] + r * c[17]))
+    return math.sqrt(2.0) * gaussian.inv_cdf((k + delta) / (n_regions + 0.3))
 
 
 _SOLVE_RECORD = "solve_minimax n_regions=%d iterations=%d passes=%d residual=%.3g"
@@ -322,14 +379,15 @@ def solve_minimax(n_regions: int) -> Partition:
     analytically, and N is at most 30000 (_MAX_REGIONS): past 10**5 a solve is not minimax.
 
     Each full step is kept.  Once the mirrored residuals e_1 - e_k have norm
-    <= 1e-10 (_TOL), which takes at most 4 steps (_MAX_STEPS), one more step
+    <= 1e-10 (_TOL), which the start meets or comes within 2 steps of, within
+    a budget of 4 (_MAX_STEPS), one more step
     polishes the result, and its full pass certifies it as Partition
     construction would.  A step whose point has a boundary that is not finite
     or a region without positive mass, the polishing step included, or a
     residual still above _TOL after 4 steps raises SolverError with the last
     usable point and its residual over all breakpoints.  Each call logs one
     DEBUG record on the losslin.partition logger: N, Newton steps, region
-    statistics passes (steps + 2; 4 at N = 1000) and the final residual norm
+    statistics passes (steps + 2; 2 at N = 1000) and the final residual norm
     over all breakpoints.
     """
     n_regions = _count(n_regions, 1, "n_regions must be a positive integer, got "

@@ -336,26 +336,38 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("n", [3, 4, 7, 100, 1000, 10000])
     def test_start_is_hastings_shifted_quantiles(self, n):
-        # the start is the shifted N(0, 2) quantiles themselves, bit for bit
-        k = np.arange(1, (n + 1) // 2)
-        want = math.sqrt(2.0) * np.asarray(inv_cdf((k + 0.15) / (n + 0.3)))
+        # the start is the N(0, 2) quantiles at the index shifted by the fitted
+        # delta(k, N), bit for bit, evaluated term by term in the same order
+        c = partition_mod._START_FIT
+        k = np.arange(1.0, (n + 1) // 2)
+        u, w, g = k / (n + 0.3), 1.0 / (k + 0.5), 1.0 / math.log(n)
+        r = np.sqrt(u)
+        delta = ((c[0] + g * (c[11] + g * c[14])) + u * ((c[1] + g * (c[12] + g * c[15]))
+                                                       + u * (c[2] + u * c[3]))
+                 + r * ((c[4] + g * c[13]) + u * c[5])
+                 + w * (((c[6] + g * c[9]) + w * ((c[7] + g * c[10]) + w * c[8]))
+                        + u * c[16] + r * c[17]))
+        want = math.sqrt(2.0) * np.asarray(inv_cdf((k + delta) / (n + 0.3)))
         start = partition_mod._start(n)
         assert start.shape == want.shape and np.all(start < 0.0)
         assert np.array_equal(start, want)
+        # the shifts stay near the 0.15 of the plain shifted quantiles
+        assert np.all((0.13 < delta) & (delta < 0.18)), delta
 
     def test_residual_evaluations_stay_constant_in_n(self, region_stats_calls, caplog):
         # every size to 300, then strides up to the cap of 30000 regions, and
-        # two sizes whose polishing point has the larger reduced residual on
-        # x86-64 with numpy 2: each takes one or two of its 4 Newton steps
-        # (_MAX_STEPS), then the polish
-        sizes = [*range(3, 301), *range(301, 10000, 199), 4024, 4038, 10000,
+        # sizes whose polish reads a larger residual than the point it polishes
+        # on x86-64 with numpy 2: each takes at most one of its 4 Newton steps
+        # (_MAX_STEPS) from the fitted start, two below 10, then the polish
+        sizes = [*range(3, 301), *range(301, 10000, 199), 589, 607, 4024, 4038, 10000,
                  *range(10001, 30001, 997), 30000]
         with caplog.at_level(logging.DEBUG, logger="losslin.partition"):
             for n in sizes:
                 del region_stats_calls[:]
                 spread = breakpoint_errors(solve_minimax(n)).spread
                 _, iterations, passes, _ = caplog.records[-1].args
-                assert spread <= 1e-10 and iterations <= 2, (n, spread, iterations)
+                assert spread <= 1e-10 and iterations <= (1 if n >= 10 else 2), \
+                    (n, spread, iterations)
                 assert passes == iterations + 2 == len(region_stats_calls), (n, passes)
                 # half passes and the full polishing pass: four full passes would be 4N
                 assert sum(region_stats_calls) <= 2.5 * n + 2, (n, region_stats_calls)
@@ -365,12 +377,12 @@ class TestNewtonSystem:
         e = np.asarray(breakpoint_errors(solve_minimax(n)).values)
         assert partition_mod._full_residual_norm(e) <= 1e-13
 
-    @pytest.mark.parametrize("n", [4024, 4038, 7978])
+    @pytest.mark.parametrize("n", [589, 607, 4024, 4038, 7978])
     def test_polish_is_kept_where_the_reduced_residual_rises(self, n):
-        # at rounding level the reduced residual no longer ranks points: here
-        # it is larger at the polishing point on x86-64 with numpy 2, while
-        # the full residual is smaller (the converged point reads 1.35e-14
-        # at 4024 and 4038)
+        # at rounding level a residual no longer ranks points: at 589 and 607
+        # the polished point reads a larger full residual than the converged
+        # one it polishes, on x86-64 with numpy 2, and is kept (at 4024, 4038
+        # and 7978 the start of 0.15 shifts gave such points)
         e = np.asarray(breakpoint_errors(solve_minimax(n)).values)
         assert partition_mod._full_residual_norm(e) <= 1e-14
 
@@ -451,10 +463,10 @@ class TestHalfPasses:
                              partition_mod._reduced_jacobian(full, n)):
             assert _bits(got) == _bits(want)
 
-    @pytest.mark.parametrize("n", [999, 4024, 4038])
+    @pytest.mark.parametrize("n", [589, 999, 4024, 4038])
     def test_completed_partition_is_its_own_construction(self, n):
-        # at 4024 and 4038 the polishing point has the larger reduced residual
-        # on x86-64 with numpy 2; it is kept and its full pass certifies it
+        # at 589 the polished point has the larger residual on x86-64 with
+        # numpy 2; it is kept and its full pass certifies it
         p = solve_minimax(n)
         q = Partition(p.upper_limits)
         assert q == p and _bits(q._errors) == _bits(p._errors)
@@ -465,33 +477,34 @@ class TestHalfPasses:
     ], ids=["zero", "nan"])
     def test_polish_is_kept_unless_unusable(self, monkeypatch, region_stats_calls, caplog,
                                             polish, kept):
-        # a zero polishing step does not lower the reduced residual, but its
-        # point is usable: it is kept and its full pass certifies it.  A NaN
-        # point is not evaluated: the solve fails with the converged point and
-        # its residual, from one full pass
-        want = solve_minimax(1000).upper_limits[:-1]
+        # a zero polishing step does not lower the residual, but its point is
+        # usable: it is kept and its full pass certifies it.  A NaN point is
+        # not evaluated: the solve fails with the converged point and its
+        # residual, from one full pass.  The start of 300 regions takes one
+        # Newton step to meet the tolerance, so the polish is the second step
+        want = solve_minimax(300).upper_limits[:-1]
         del region_stats_calls[:]
         step, steps = partition_mod._newton_step, []
 
         def replaced(*args):
             steps.append(args)
             delta, d_eps = step(*args)
-            return polish(delta, d_eps) if len(steps) == 3 else (delta, d_eps)
+            return polish(delta, d_eps) if len(steps) == 2 else (delta, d_eps)
         monkeypatch.setattr(partition_mod, "_newton_step", replaced)
         if kept:
             with caplog.at_level(logging.DEBUG, logger="losslin"):
-                p = solve_minimax(1000)
-            assert caplog.records[-1].args[1:3] == (2, 4)
-            assert region_stats_calls == [500, 500, 500, 1000]
+                p = solve_minimax(300)
+            assert caplog.records[-1].args[1:3] == (1, 3)
+            assert region_stats_calls == [150, 150, 300]
             q = Partition(p.upper_limits)
             assert q == p and _bits(q._errors) == _bits(p._errors)
             assert breakpoint_errors(p).spread <= 1e-10
         else:
             with pytest.raises(SolverError,
-                               match=r"^no certified partition of 1000 regions after 2 Newton"
+                               match=r"^no certified partition of 300 regions after 1 Newton"
                                      r" steps: residual \S+, tol 1e-10$") as info:
-                solve_minimax(1000)
-            assert region_stats_calls == [500, 500, 500, 1000]
+                solve_minimax(300)
+            assert region_stats_calls == [150, 150, 300]
             best = Partition.from_boundaries(info.value.best)
             assert info.value.residual == partition_mod._full_residual_norm(best._errors) <= 1e-10
             assert best.upper_limits[:-1] == approx(want, abs=1e-8)
@@ -518,11 +531,30 @@ class TestOnePass:
         e = partition_mod._region_stats(np.asarray(p.upper_limits))[2]
         assert values == tuple(e.tolist())
 
-    def test_solve_minimax_1000_makes_4_stats_calls(self, region_stats_calls):
-        # the start and 2 Newton steps over the 500 symmetry-distinct regions,
+    def test_solve_minimax_1000_makes_2_stats_calls(self, region_stats_calls):
+        # the start over the 500 symmetry-distinct regions meets the tolerance,
         # then the polishing step over all 1000, whose statistics certify the result
         solve_minimax(1000)
-        assert region_stats_calls == [500, 500, 500, 1000]
+        assert region_stats_calls == [500, 1000]
+
+    def test_masses_and_cond_means_are_built_on_first_read(self):
+        # the solve keeps the certified arrays; the tuples are built on first
+        # read, bit for bit their tolist(), and leave the identity alone
+        p = solve_minimax(1000)
+        assert not {"masses", "cond_means"} & set(vars(p))
+        fields, identity = dataclasses.fields(p), (hash(p), repr(p))
+        pickled, copied = pickle.dumps(p), copy.copy(p)
+        masses, cond_means = p.masses, p.cond_means
+        assert {"masses", "cond_means"} <= set(vars(p))
+        assert p.masses is masses and p.cond_means is cond_means
+        assert type(masses) is tuple and {type(v) for v in masses + cond_means} == {float}
+        assert _bits(masses) == _bits(p._masses.tolist())
+        assert _bits(cond_means) == _bits(p._cond_means.tolist())
+        assert not p._masses.flags.writeable and not p._cond_means.flags.writeable
+        assert (dataclasses.fields(p), hash(p), repr(p)) == (fields, *identity)
+        assert pickle.dumps(p) == pickled and copy.copy(p) == copied == p
+        assert Partition(p.upper_limits) == p
+        assert pickle.loads(pickled).masses == masses and copied.cond_means == cond_means
 
     def test_errors_field_stays_out_of_init_and_repr(self):
         p = solve_minimax(3)
@@ -623,18 +655,19 @@ class TestSolveLog:
         return part, records[0]
 
     def test_record_counts_the_solve(self, caplog, region_stats_calls):
-        # 4038 keeps a polishing point whose reduced residual rises (TestHalfPasses)
-        for size in (1000, 4038):
+        # 589 keeps a polishing point whose residual rises (TestHalfPasses);
+        # the start of 1000 regions meets the tolerance without a Newton step
+        for size, steps in ((7, 2), (589, 1), (1000, 0)):
             caplog.clear()
             del region_stats_calls[:]
             part, record = self.solve_records(caplog, size)
             n, iterations, passes, residual = record.args
-            assert (n, iterations) == (size, 2)
+            assert (n, iterations) == (size, steps)
             assert passes == len(region_stats_calls) == iterations + 2
             e = np.asarray(breakpoint_errors(part).values)
             assert residual == partition_mod._full_residual_norm(e) <= 1e-13
             assert record.getMessage().startswith(
-                f"solve_minimax n_regions={size} iterations=2 passes=4 residual=")
+                f"solve_minimax n_regions={size} iterations={steps} passes={steps + 2} residual=")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_forms_log_no_iterations(self, caplog, n):

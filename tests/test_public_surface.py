@@ -210,19 +210,54 @@ def test_ragged_input_is_rejected_without_a_warning_on_old_numpy(monkeypatch):
     (lambda: phi([True, 2]), DomainError, "got dtype bool$"),
     (lambda: cdf([np.True_, 0.5]), DomainError, "got dtype bool$"),
     (lambda: cdf([[0.5, 1.0], (2, np.False_)]), DomainError, "got dtype bool$"),
+    # numpy reads a list with an int past 64 bits as dtype object
+    (lambda: cdf([2**64, True]), DomainError, "got dtype bool$"),
+    (lambda: closs([np.False_, -(2**63) - 1], STANDARD), DomainError, "got dtype bool$"),
+    (lambda: cdf([[2**64, 0.5], [1.0, True]]), DomainError, "got dtype bool$"),
     (lambda: build_upper_chord([False, 1.0]), InvalidParameterError,
      "breakpoints must be a sequence of numbers"),
     (lambda: BreakpointErrors((True, 0.5)), InvalidParameterError, "values must be a flat"),
     (lambda: PiecewiseLinear((0.0,), (False, 1.0), (0.4, 0.4), "lower", "closs", STANDARD),
      InvalidParameterError, "breakpoints, slopes and intercepts must be flat"),
 ], ids=["Partition", "from_boundaries", "closs", "phi", "cdf", "cdf-nested",
-        "build_upper_chord", "BreakpointErrors", "PiecewiseLinear"])
+        "cdf-huge-int", "closs-huge-int", "cdf-nested-huge-int", "build_upper_chord",
+        "BreakpointErrors", "PiecewiseLinear"])
 def test_a_bool_among_numbers_is_rejected(call, error, message):
     # np.asarray reads a bool among numbers as 0 or 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
             call()
+
+
+_BIG_INT_READERS = {
+    "scalar": (cdf, lambda v: cdf(float(v)), DomainError),
+    "list": (lambda v: closs([v, 0.0], STANDARD).tolist(),
+             lambda v: closs([float(v), 0.0], STANDARD).tolist(), DomainError),
+    "NormalParams": (lambda v: NormalParams(v, 1.0), lambda v: NormalParams(float(v), 1.0),
+                     InvalidParameterError),
+    "evaluate": (lambda v: evaluate(_REPORT.lower, v),
+                 lambda v: evaluate(_REPORT.lower, float(v)), DomainError),
+}
+
+
+@pytest.mark.parametrize("reader", _BIG_INT_READERS)
+@pytest.mark.parametrize("value", [2**63, -(2**63), 2**64, -(2**63) - 1, 2**1023],
+                         ids=["2**63", "-2**63", "2**64", "-2**63-1", "2**1023"])
+def test_an_int_past_int64_is_read_as_a_float(reader, value):
+    # numpy reads an int past int64 and uint64 as dtype object
+    call, as_float, _ = _BIG_INT_READERS[reader]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call(value) == as_float(value)
+
+
+@pytest.mark.parametrize("reader", _BIG_INT_READERS)
+def test_an_int_beyond_the_float_range_is_rejected(reader):
+    call, _, error = _BIG_INT_READERS[reader]
+    for value in (10**400, -(10**400), 2**1024):
+        with pytest.raises(error, match="^an int argument is beyond the float range$"):
+            call(value)
 
 
 @pytest.mark.parametrize("call, message", [
